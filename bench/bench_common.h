@@ -6,7 +6,7 @@
 //   full (GRGAD_BENCH_FULL=1): 3 seeds, paper-scale settings.
 // Absolute values differ from the paper's testbed (synthetic data, CPU
 // simulator); the *shape* — method ranking, CR gap, ablation ordering — is
-// what these benches reproduce (see EXPERIMENTS.md).
+// what these benches reproduce (see README.md, "Repro benches").
 #ifndef GRGAD_BENCH_BENCH_COMMON_H_
 #define GRGAD_BENCH_BENCH_COMMON_H_
 

@@ -2,10 +2,11 @@
 // algebra, graph algorithms, GraphSNN weighting, detectors, and one TPGCL
 // training epoch. These are throughput references, not paper figures.
 //
-// Before the google-benchmark suites run, main() compares seed vs optimized
-// on six axes — end-to-end training epochs, the candidate stage (frozen
-// serial sampler/pattern/augment paths vs the workspace/view fast path),
-// the scoring stage (frozen seed detectors vs the GEMM/parallel fast path),
+// Before the google-benchmark suites run, main() measures six axes —
+// end-to-end training epochs (optimized path only, with arena accounting),
+// the candidate stage (frozen serial sampler/pattern/augment paths vs the
+// workspace/view product path), the scoring stage (frozen seed detectors vs
+// the GEMM/parallel product detectors),
 // the tensor kernels on the training-hot shapes, the resident daemon's
 // round-trip latency, and the mutation fast path (slack-CSR apply, ball
 // invalidation, dirty-anchor incremental refresh vs full recompute) — and
@@ -52,7 +53,6 @@
 #include "src/tensor/matrix.h"
 #include "src/tensor/reference_kernels.h"
 #include "src/tensor/sparse.h"
-#include "src/util/fastpath.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
@@ -325,15 +325,15 @@ std::vector<KernelResult> CompareKernels() {
 
 // ---------------------------------------------------------------------------
 // Candidate-stage comparison (frozen serial Alg. 1/Alg. 2 paths vs the
-// anchor-parallel workspace/view fast path) -> the grgad-micro-v7
+// anchor-parallel workspace/view product path) -> the grgad-micro-v8
 // "candidates" table.
 // ---------------------------------------------------------------------------
 
 struct CandidateResult {
   std::string name;
   std::string shape;
-  double seed_ms = 0.0;  ///< Candidate fast path off (seed-shaped serial).
-  double opt_ms = 0.0;   ///< Workspace/view fast path on.
+  double seed_ms = 0.0;  ///< Seed-shaped serial reference.
+  double opt_ms = 0.0;   ///< Workspace/view product path.
   /// Sampler only: TraversalWorkspace buffer growths across one steady-state
   /// Sample call (must be 0 — pooled workspaces fully warm after the timed
   /// runs). -1 for entries that do not use workspaces.
@@ -343,15 +343,12 @@ struct CandidateResult {
 std::vector<CandidateResult> CompareCandidateKernels() {
   std::vector<CandidateResult> results;
   results.reserve(3);  // add() returns a reference into this vector.
-  const bool prev = SetCandidateFastPath(true);
   auto add = [&](std::string name, std::string shape, auto&& seed_fn,
                  auto&& opt_fn) -> CandidateResult& {
     CandidateResult r;
     r.name = std::move(name);
     r.shape = std::move(shape);
-    SetCandidateFastPath(false);
     r.seed_ms = MedianMs(seed_fn);
-    SetCandidateFastPath(true);
     r.opt_ms = MedianMs(opt_fn);
     std::printf("  %-24s %-24s seed %8.3f ms   opt %8.3f ms   %.2fx\n",
                 r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
@@ -369,7 +366,7 @@ std::vector<CandidateResult> CompareCandidateKernels() {
     GroupSampler sampler{GroupSamplerOptions{}};
     CandidateResult& r = add(
         "sampler", "n=8000,anchors=64",
-        [&] { benchmark::DoNotOptimize(sampler.Sample(g, anchors)); },
+        [&] { benchmark::DoNotOptimize(sampler.SampleReference(g, anchors)); },
         [&] { benchmark::DoNotOptimize(sampler.Sample(g, anchors)); });
     // Steady-state workspace accounting: the timed opt runs above warmed
     // every pooled workspace; one more call must not grow anything.
@@ -419,25 +416,23 @@ std::vector<CandidateResult> CompareCandidateKernels() {
               Augment(view, AugmentationKind::kPba, patterns, &rng));
         });
   }
-  SetCandidateFastPath(prev);
   return results;
 }
 
 // ---------------------------------------------------------------------------
 // Scoring-stage comparison (frozen seed detectors vs the blocked/parallel
-// scoring fast path) -> the grgad-micro-v3 "scoring" table.
+// product detectors) -> the "scoring" table.
 // ---------------------------------------------------------------------------
 
 struct ScoringResult {
   std::string name;
   std::string shape;
   double seed_ms = 0.0;  ///< Frozen seed implementation (reference_detectors).
-  double opt_ms = 0.0;   ///< Product code with the scoring fast path on.
+  double opt_ms = 0.0;   ///< Product code.
 };
 
 std::vector<ScoringResult> CompareScoringKernels() {
   std::vector<ScoringResult> results;
-  const bool prev = SetScoringFastPath(true);
   auto add = [&](std::string name, std::string shape, auto&& seed_fn,
                  auto&& opt_fn) {
     ScoringResult r;
@@ -493,20 +488,17 @@ std::vector<ScoringResult> CompareScoringKernels() {
         },
         [&] { benchmark::DoNotOptimize(GraphSnnEdgeWeights(g, 1.0)); });
   }
-  SetScoringFastPath(prev);
   return results;
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end training-epoch comparison (seed path vs fast path).
+// End-to-end training epochs (arena + fused kernels) with arena accounting.
 // ---------------------------------------------------------------------------
 
 struct EpochResult {
   std::string name;
   std::string shape;
-  double seed_ms = 0.0;  ///< Per-epoch ms, fast path off (seed behavior).
-  double opt_ms = 0.0;   ///< Per-epoch ms, arena + fused kernels.
-  // Arena accounting from the fast path.
+  double opt_ms = 0.0;  ///< Per-epoch ms, arena + fused kernels.
   uint64_t warmup_heap_allocs = 0;  ///< Buffers the warmup fit allocated.
   /// Heap allocations across the ENTIRE steady-state fit (not per epoch):
   /// 0 means every post-warmup epoch was served from the free lists.
@@ -515,19 +507,17 @@ struct EpochResult {
   uint64_t steady_bytes_served = 0;  ///< Bytes recycled per epoch.
 };
 
-/// Runs one seed-vs-opt epoch comparison and collects arena stats from a
-/// dedicated warm-arena run (one warmup fit, stats reset, one measured fit
-/// whose epochs are all steady-state).
+/// Collects arena stats (one warmup fit on a fresh arena, stats reset, one
+/// measured fit whose epochs are all steady-state), then times epochs on
+/// the now-warm arena.
 ///
 /// Per-epoch wall time is isolated from the fixed setup cost (operator
 /// building, pair sampling, pattern search) by differencing two epoch
-/// counts: (T(hi) - T(lo)) / (hi - lo). The seed and fast-path fits are
-/// sampled INTERLEAVED, one pair per round, with the per-round differences
-/// medianed: on a shared box the allocator/CPU state drifts over seconds,
-/// and sequential difference-of-medians measurements let that drift
-/// masquerade as (or cancel out) a speedup.
+/// counts: (T(hi) - T(lo)) / (hi - lo), one pair per round, with the
+/// per-round differences medianed so allocator/CPU drift on a shared box
+/// cannot masquerade as a change.
 template <typename MakeFit>
-EpochResult CompareEpochs(std::string name, std::string shape,
+EpochResult MeasureEpochs(std::string name, std::string shape,
                           MakeFit&& make_fit) {
   constexpr int kLo = 2, kHi = 12, kRounds = 7;
   EpochResult r;
@@ -535,59 +525,36 @@ EpochResult CompareEpochs(std::string name, std::string shape,
   r.shape = std::move(shape);
 
   MatrixArena arena;
-  auto seed_fit = make_fit(nullptr);
-  auto opt_fit = make_fit(&arena);
-  // Warm up both paths (and the arena free lists) before sampling.
-  SetTrainingFastPath(false);
-  seed_fit(kLo);
-  SetTrainingFastPath(true);
-  opt_fit(kLo);
-  std::vector<double> seed_epoch_ms, opt_epoch_ms;
-  for (int round = 0; round < kRounds; ++round) {
-    SetTrainingFastPath(false);
-    Timer seed_lo;
-    seed_fit(kLo);
-    const double t_seed_lo = seed_lo.ElapsedMillis();
-    Timer seed_hi;
-    seed_fit(kHi);
-    const double t_seed_hi = seed_hi.ElapsedMillis();
-    SetTrainingFastPath(true);
-    Timer opt_lo;
-    opt_fit(kLo);
-    const double t_opt_lo = opt_lo.ElapsedMillis();
-    Timer opt_hi;
-    opt_fit(kHi);
-    const double t_opt_hi = opt_hi.ElapsedMillis();
-    seed_epoch_ms.push_back((t_seed_hi - t_seed_lo) / (kHi - kLo));
-    opt_epoch_ms.push_back((t_opt_hi - t_opt_lo) / (kHi - kLo));
-  }
-  std::sort(seed_epoch_ms.begin(), seed_epoch_ms.end());
-  std::sort(opt_epoch_ms.begin(), opt_epoch_ms.end());
-  r.seed_ms = seed_epoch_ms[kRounds / 2];
-  r.opt_ms = opt_epoch_ms[kRounds / 2];
-
-  // Steady-state accounting on a fresh arena: epoch 1 of the first fit is
-  // the warmup; every epoch of the second fit reuses its buffers.
-  MatrixArena fresh;
-  auto fit = make_fit(&fresh);
+  auto fit = make_fit(&arena);
   fit(1);
-  r.warmup_heap_allocs = fresh.stats().heap_allocs;
-  fresh.ResetStats();
+  r.warmup_heap_allocs = arena.stats().heap_allocs;
+  arena.ResetStats();
   fit(kLo);
-  const MatrixArena::Stats steady = fresh.stats();
+  const MatrixArena::Stats steady = arena.stats();
   r.steady_heap_allocs = steady.heap_allocs;
   r.steady_reused = steady.reused / kLo;
   r.steady_bytes_served = steady.bytes_served / kLo;
 
-  std::printf("  %-24s %-24s seed %8.3f ms   opt %8.3f ms   %.2fx   "
-              "steady heap allocs %llu\n",
-              r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-              r.seed_ms / r.opt_ms,
+  std::vector<double> epoch_ms;
+  for (int round = 0; round < kRounds; ++round) {
+    Timer lo;
+    fit(kLo);
+    const double t_lo = lo.ElapsedMillis();
+    Timer hi;
+    fit(kHi);
+    const double t_hi = hi.ElapsedMillis();
+    epoch_ms.push_back((t_hi - t_lo) / (kHi - kLo));
+  }
+  std::sort(epoch_ms.begin(), epoch_ms.end());
+  r.opt_ms = epoch_ms[kRounds / 2];
+
+  std::printf("  %-24s %-24s opt %8.3f ms   steady heap allocs %llu\n",
+              r.name.c_str(), r.shape.c_str(), r.opt_ms,
               static_cast<unsigned long long>(r.steady_heap_allocs));
   return r;
 }
 
-std::vector<EpochResult> CompareTrainingEpochs() {
+std::vector<EpochResult> MeasureTrainingEpochs() {
   std::vector<EpochResult> results;
 
   // TPGCL epoch on the paper's example graph with a realistic candidate
@@ -604,7 +571,7 @@ std::vector<EpochResult> CompareTrainingEpochs() {
       candidates.push_back({i, i + 1, i + 2, i + 3, i + 4, i + 5, i + 6,
                             i + 7});
     }
-    results.push_back(CompareEpochs(
+    results.push_back(MeasureEpochs(
         "tpgcl_epoch", "example,groups=32",
         [&dataset, &candidates](MatrixArena* arena) {
           return [&dataset, &candidates, arena](int epochs) {
@@ -632,7 +599,7 @@ std::vector<EpochResult> CompareTrainingEpochs() {
       if (u != v) b.AddEdge(u, v);
     }
     Graph g = b.Build(Matrix::Gaussian(n, d, &rng));
-    results.push_back(CompareEpochs(
+    results.push_back(MeasureEpochs(
         "gae_epoch", "n=3000,d=32,h=64,e=64", [&g](MatrixArena* arena) {
           return [&g, arena](int epochs) {
             GaeOptions options;
@@ -1104,22 +1071,20 @@ std::vector<MutationResult> MeasureDurability() {
 }
 
 void WriteMicroJson() {
-  // Epochs are measured FIRST, on a cold allocator: glibc's trim/mmap
-  // thresholds ratchet up under the kernel benchmarks' large blocks, after
-  // which the seed path's per-epoch malloc/free stops hitting the OS and
-  // the comparison stops reflecting what a fresh training process pays.
-  std::printf("Training-epoch comparison (seed path vs arena+fused fast "
-              "path)\n");
-  const std::vector<EpochResult> epochs = CompareTrainingEpochs();
-  // Candidates also run before the kernel phase: the seed sampler's
-  // per-anchor allocation cost is visible only while the allocator is cold
-  // (same glibc trim/mmap-threshold argument as the epochs).
+  // Epochs and candidates are measured FIRST, on a cold allocator: glibc's
+  // trim/mmap thresholds ratchet up under the kernel benchmarks' large
+  // blocks, after which per-call malloc/free stops hitting the OS, and the
+  // seed sampler's per-anchor allocation cost is visible only while the
+  // allocator is cold.
+  std::printf("Training epochs (arena + fused kernels), GRGAD_THREADS=%d\n",
+              ParallelismDegree());
+  const std::vector<EpochResult> epochs = MeasureTrainingEpochs();
   std::printf("Candidate-stage comparison (frozen serial sampler/patterns "
-              "vs workspace/view fast path), GRGAD_THREADS=%d\n",
+              "vs workspace/view product path), GRGAD_THREADS=%d\n",
               ParallelismDegree());
   const std::vector<CandidateResult> candidates = CompareCandidateKernels();
   std::printf("Scoring comparison (frozen seed detectors vs GEMM/parallel "
-              "fast path), GRGAD_THREADS=%d\n", ParallelismDegree());
+              "product detectors), GRGAD_THREADS=%d\n", ParallelismDegree());
   const std::vector<ScoringResult> scoring = CompareScoringKernels();
   std::printf("Kernel comparison (seed serial reference vs optimized), "
               "GRGAD_THREADS=%d\n", ParallelismDegree());
@@ -1144,7 +1109,7 @@ void WriteMicroJson() {
     return;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"grgad-micro-v7\",\n");
+  std::fprintf(f, "  \"schema\": \"grgad-micro-v8\",\n");
   std::fprintf(f, "  \"threads\": %d,\n", ParallelismDegree());
   std::fprintf(f, "  \"candidates\": [\n");
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -1188,14 +1153,12 @@ void WriteMicroJson() {
     const EpochResult& r = epochs[i];
     std::fprintf(
         f,
-        "    {\"name\": \"%s\", \"shape\": \"%s\", "
-        "\"seed_ms\": %.6f, \"opt_ms\": %.6f, \"speedup\": %.3f, "
+        "    {\"name\": \"%s\", \"shape\": \"%s\", \"opt_ms\": %.6f, "
         "\"arena\": {\"warmup_heap_allocs\": %llu, "
         "\"steady_fit_heap_allocs\": %llu, "
         "\"steady_reused_per_epoch\": %llu, "
         "\"steady_bytes_served_per_epoch\": %llu}}%s\n",
-        r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-        r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9),
+        r.name.c_str(), r.shape.c_str(), r.opt_ms,
         static_cast<unsigned long long>(r.warmup_heap_allocs),
         static_cast<unsigned long long>(r.steady_heap_allocs),
         static_cast<unsigned long long>(r.steady_reused),

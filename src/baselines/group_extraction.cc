@@ -5,7 +5,6 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/traversal_workspace.h"
 #include "src/metrics/classification.h"
-#include "src/util/fastpath.h"
 
 namespace grgad {
 
@@ -19,17 +18,12 @@ std::vector<ScoredGroup> ExtractGroupsFromNodeScores(
   for (int v = 0; v < g.num_nodes(); ++v) {
     if (labels[v] == 1) anomalous.push_back(v);
   }
-  // Workspace-backed component extraction on the candidate fast path
-  // (identical groups; the stamped marks replace the per-call hash set +
-  // O(n) seen vector).
-  TraversalWorkspacePool::Lease ws;
-  if (CandidateFastPathEnabled()) {
-    ws = TraversalWorkspacePool::Global().Acquire();
-  }
+  // A pooled workspace's stamped marks spare a per-call hash set and O(n)
+  // seen vector.
+  TraversalWorkspacePool::Lease ws =
+      TraversalWorkspacePool::Global().Acquire();
   std::vector<ScoredGroup> out;
-  for (auto& component : ws.get() != nullptr
-                             ? ComponentsOfSubset(g, anomalous, ws.get())
-                             : ComponentsOfSubset(g, anomalous)) {
+  for (auto& component : ComponentsOfSubset(g, anomalous, ws.get())) {
     if (!options.keep_singletons && component.size() < 2) continue;
     if (static_cast<int>(component.size()) > options.max_group_size) {
       std::sort(component.begin(), component.end(),

@@ -20,7 +20,7 @@ std::vector<double> ComGa::FitNodeScores(const Graph& g) const {
 
   // Declared before any Var; see GcnGae::Fit.
   MatrixArena local_arena;
-  ArenaScope arena_scope(TrainingFastPathEnabled() ? &local_arena : nullptr);
+  ArenaScope arena_scope(&local_arena);
 
   const auto a_norm = NormalizedAdjacency(g);
   const Matrix b_proj =

@@ -42,7 +42,7 @@ std::vector<double> DeepAe::FitNodeScores(const Graph& g) const {
 
   // Declared before any Var; see GcnGae::Fit.
   MatrixArena local_arena;
-  ArenaScope arena_scope(TrainingFastPathEnabled() ? &local_arena : nullptr);
+  ArenaScope arena_scope(&local_arena);
 
   const size_t in_dim = static_cast<size_t>(d + sp);
   Mlp autoencoder({in_dim, static_cast<size_t>(options_.hidden_dim),

@@ -70,12 +70,11 @@ struct GaeOptions {
   CancelToken cancel;
   /// Soft byte budget for the training arena (0 = unlimited). On breach the
   /// arena fires `cancel` with StopReason::kResourceExhausted and the epoch
-  /// loop unwinds cleanly — see MatrixArena::SetByteBudget. Only effective
-  /// when an arena backs the fit (the training fast path, i.e. the default).
+  /// loop unwinds cleanly — see MatrixArena::SetByteBudget.
   uint64_t arena_byte_budget = 0;
-  /// Optional caller-owned buffer arena (must outlive Fit). When null and
-  /// the training fast path is on, Fit installs a run-local arena; either
-  /// way steady-state epochs reuse buffers instead of reallocating them.
+  /// Optional caller-owned buffer arena (must outlive Fit). When null, Fit
+  /// installs a run-local arena; either way steady-state epochs reuse
+  /// buffers instead of reallocating them.
   /// Passing an arena lets callers (benchmarks, multi-fit pipelines)
   /// inspect allocation stats and share warm buffers across fits.
   MatrixArena* arena = nullptr;

@@ -43,7 +43,7 @@ bool ParseAugmentationKind(const std::string& name, AugmentationKind* out);
 Graph Augment(const Graph& group, AugmentationKind kind,
               const FoundPatterns& patterns, Rng* rng);
 
-/// Same augmentation, straight off a subgraph view (candidate fast path) —
+/// Same augmentation, straight off a subgraph view (what TPGCL uses) —
 /// identical output and identical `rng` consumption for the view of the
 /// same group, so the two forms are interchangeable mid-stream.
 Graph Augment(const SubgraphView& group, AugmentationKind kind,

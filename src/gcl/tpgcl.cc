@@ -8,7 +8,6 @@
 #include "src/nn/layers.h"
 #include "src/nn/optim.h"
 #include "src/gcl/mine.h"
-#include "src/util/fastpath.h"
 #include "src/util/logging.h"
 
 namespace grgad {
@@ -159,53 +158,32 @@ TpgclResult Tpgcl::FitEmbed(
 
   // Declared before any Var; see GcnGae::Fit.
   MatrixArena local_arena;
-  MatrixArena* arena = options_.arena != nullptr ? options_.arena
-                       : TrainingFastPathEnabled() ? &local_arena
-                                                   : nullptr;
+  MatrixArena* arena =
+      options_.arena != nullptr ? options_.arena : &local_arena;
   ArenaScope arena_scope(arena);
-  if (arena != nullptr) {
-    if (options_.arena_byte_budget > 0) {
-      arena->SetByteBudget(options_.arena_byte_budget);
-    }
-    arena->SetStopToken(options_.cancel);
+  if (options_.arena_byte_budget > 0) {
+    arena->SetByteBudget(options_.arena_byte_budget);
   }
+  arena->SetStopToken(options_.cancel);
 
-  // --- Views: pattern search + one PPA and one PBA view per group. On the
-  // candidate fast path a single retargeted SubgraphView replaces the
-  // per-group InducedSubgraph copies (identical patterns, identical rng
-  // stream, bitwise identical batches — tests pin this). The augmented
-  // views are real graphs either way: PPA/PBA add and remove nodes. ---
+  // --- Views: pattern search + one PPA and one PBA view per group. A
+  // single retargeted SubgraphView replaces per-group InducedSubgraph
+  // copies (identical patterns, identical rng stream, bitwise identical
+  // batches — SubgraphViewTest.* and BatchFromGroupsMatchesInducedBatch pin
+  // this). The augmented views are real graphs: PPA/PBA add and remove
+  // nodes. ---
   std::vector<Graph> positives, negatives;
   positives.reserve(m);
   negatives.reserve(m);
-  GraphBatch orig_batch;
-  if (CandidateFastPathEnabled()) {
-    SubgraphView view;
-    for (const auto& group : groups) {
-      view.Reset(host, group);
-      const FoundPatterns patterns =
-          SearchPatterns(view, options_.pattern_options);
-      positives.push_back(
-          Augment(view, options_.positive_aug, patterns, &rng));
-      negatives.push_back(
-          Augment(view, options_.negative_aug, patterns, &rng));
-    }
-    orig_batch = BuildGraphBatchFromGroups(host, groups);
-  } else {
-    std::vector<Graph> originals;
-    originals.reserve(m);
-    for (const auto& group : groups) {
-      Graph induced = host.InducedSubgraph(group);
-      const FoundPatterns patterns =
-          SearchPatterns(induced, options_.pattern_options);
-      positives.push_back(
-          Augment(induced, options_.positive_aug, patterns, &rng));
-      negatives.push_back(
-          Augment(induced, options_.negative_aug, patterns, &rng));
-      originals.push_back(std::move(induced));
-    }
-    orig_batch = BuildGraphBatch(originals);
+  SubgraphView view;
+  for (const auto& group : groups) {
+    view.Reset(host, group);
+    const FoundPatterns patterns =
+        SearchPatterns(view, options_.pattern_options);
+    positives.push_back(Augment(view, options_.positive_aug, patterns, &rng));
+    negatives.push_back(Augment(view, options_.negative_aug, patterns, &rng));
   }
+  const GraphBatch orig_batch = BuildGraphBatchFromGroups(host, groups);
   const GraphBatch pos_batch = BuildGraphBatch(positives);
   const GraphBatch neg_batch = BuildGraphBatch(negatives);
 

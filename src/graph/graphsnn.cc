@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/fastpath.h"
 #include "src/util/parallel.h"
 
 namespace grgad {
@@ -59,9 +58,9 @@ std::vector<double> GraphSnnEdgeWeights(const Graph& g, double lambda) {
   // Each edge's weight is a pure function of the graph, so edges partition
   // freely across the pool; per-chunk scratch keeps the hot loop free of
   // per-edge vector allocations. Per-edge arithmetic is identical to the
-  // seed loop, so weights are bitwise equal on both paths and at any
-  // GRGAD_THREADS (MH-GAE trains against this matrix — training goldens
-  // depend on that equality).
+  // serial seed loop (reference::GraphSnnEdgeWeights), so weights are
+  // bitwise equal to it at any GRGAD_THREADS (MH-GAE trains against this
+  // matrix — training goldens depend on that equality).
   auto weigh_edge = [&](size_t e, int u, int v, OverlapScratch* scratch) {
     ClosedNeighborhoodOverlap(g, u, v, scratch);
     const double nv = static_cast<double>(scratch->overlap.size());
@@ -69,39 +68,31 @@ std::vector<double> GraphSnnEdgeWeights(const Graph& g, double lambda) {
     const double ne = EdgesWithin(g, scratch->overlap);
     weights[e] = ne / (nv * (nv - 1.0)) * std::pow(nv, lambda);
   };
-  if (ScoringFastPathEnabled()) {
-    // Chunked pool loop keyed by node: node u's up-edges (v > u) occupy a
-    // consecutive index range in Edges() order, so an O(n) prefix sum over
-    // per-node up-degrees replaces the materialized O(E) pair vector —
-    // each worker streams its nodes' rows straight off the CSR. Writes go
-    // to distinct weights[e] slots and the per-edge arithmetic is
-    // untouched, so the bitwise contract above still holds.
-    std::vector<size_t> up_offset(static_cast<size_t>(g.num_nodes()) + 1, 0);
-    for (int u = 0; u < g.num_nodes(); ++u) {
-      auto nb = g.Neighbors(u);
-      up_offset[u + 1] =
-          up_offset[u] +
-          static_cast<size_t>(nb.end() -
-                              std::upper_bound(nb.begin(), nb.end(), u));
-    }
-    ParallelFor(static_cast<size_t>(g.num_nodes()), 8,
-                [&](size_t begin, size_t end) {
-                  OverlapScratch scratch;
-                  for (size_t un = begin; un < end; ++un) {
-                    const int u = static_cast<int>(un);
-                    size_t e = up_offset[un];
-                    for (int v : g.Neighbors(u)) {
-                      if (v > u) weigh_edge(e++, u, v, &scratch);
-                    }
-                  }
-                });
-  } else {
-    // Serial: stream edges straight off the CSR (Edges() order).
-    OverlapScratch scratch;
-    size_t e = 0;
-    g.ForEachEdge(
-        [&](int u, int v) { weigh_edge(e++, u, v, &scratch); });
+  // Chunked pool loop keyed by node: node u's up-edges (v > u) occupy a
+  // consecutive index range in Edges() order, so an O(n) prefix sum over
+  // per-node up-degrees replaces the materialized O(E) pair vector —
+  // each worker streams its nodes' rows straight off the CSR. Writes go
+  // to distinct weights[e] slots and the per-edge arithmetic is
+  // untouched, so the bitwise contract above still holds.
+  std::vector<size_t> up_offset(static_cast<size_t>(g.num_nodes()) + 1, 0);
+  for (int u = 0; u < g.num_nodes(); ++u) {
+    auto nb = g.Neighbors(u);
+    up_offset[u + 1] =
+        up_offset[u] +
+        static_cast<size_t>(nb.end() -
+                            std::upper_bound(nb.begin(), nb.end(), u));
   }
+  ParallelFor(static_cast<size_t>(g.num_nodes()), 8,
+              [&](size_t begin, size_t end) {
+                OverlapScratch scratch;
+                for (size_t un = begin; un < end; ++un) {
+                  const int u = static_cast<int>(un);
+                  size_t e = up_offset[un];
+                  for (int v : g.Neighbors(u)) {
+                    if (v > u) weigh_edge(e++, u, v, &scratch);
+                  }
+                }
+              });
   return weights;
 }
 

@@ -34,9 +34,8 @@ SparseMatrix GraphSnnAdjacency(const Graph& g,
                                const GraphSnnOptions& options = {});
 
 /// Structural coefficients per edge in g.Edges() order (testing hook).
-/// Edge-parallel with per-worker scratch on the scoring fast path
-/// (src/util/fastpath.h); bitwise identical to the serial seed loop either
-/// way and across GRGAD_THREADS.
+/// Edge-parallel with per-worker scratch; bitwise identical to the serial
+/// seed loop (reference::GraphSnnEdgeWeights) across GRGAD_THREADS.
 std::vector<double> GraphSnnEdgeWeights(const Graph& g, double lambda);
 
 }  // namespace grgad

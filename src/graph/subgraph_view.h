@@ -10,7 +10,7 @@
 // global→local remap is epoch-stamped so re-targeting costs O(group), not
 // O(host), and attributes are read through the host rows instead of copied.
 // SearchPatterns / ClassifyGroupPattern / Augment / the TPGCL batch builder
-// accept views in place of induced copies (the candidate fast path);
+// accept views in place of induced copies (the candidate stage uses views);
 // tests/traversal_equivalence_test.cc pins view ≡ InducedSubgraph.
 #ifndef GRGAD_GRAPH_SUBGRAPH_VIEW_H_
 #define GRGAD_GRAPH_SUBGRAPH_VIEW_H_

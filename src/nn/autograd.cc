@@ -139,7 +139,7 @@ bool Var::requires_grad() const { return defined() && node_->requires_grad; }
 
 void Var::ZeroGrad() {
   GRGAD_CHECK(defined());
-  if (TrainingFastPathEnabled() && !node_->grad.empty()) {
+  if (!node_->grad.empty()) {
     // Keep the buffer; the next accumulation overwrites it in place. No
     // zero fill is needed — grad() already reports empty via grad_zero.
     node_->grad_zero = true;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "src/tensor/arena.h"
 #include "src/util/check.h"
 #include "src/util/parallel.h"
 
@@ -44,7 +43,6 @@ void Adam::Step() {
   const double lr = options_.lr;
   const double eps = options_.eps;
   const double weight_decay = options_.weight_decay;
-  const bool fast = TrainingFastPathEnabled();
   for (size_t k = 0; k < params_.size(); ++k) {
     Var& p = params_[k];
     if (p.grad().empty()) continue;
@@ -52,13 +50,14 @@ void Adam::Step() {
     // the (optionally weight-decayed) parameter update per element, chunked
     // over the pool. Chunking splits only the flat index range and every
     // element's arithmetic is independent, so the result is bitwise
-    // identical to the seed's serial loop.
+    // identical to a serial loop at any GRGAD_THREADS.
     double* __restrict value = p.mutable_value().data();
     const double* __restrict g = p.grad().data();
     double* __restrict m = m_[k].data();
     double* __restrict v = v_[k].data();
     const size_t size = p.mutable_value().size();
-    auto update_range = [&](size_t begin, size_t end) {
+    ParallelFor(size, kElementwiseParallelGrain, [&](size_t begin,
+                                                     size_t end) {
       for (size_t i = begin; i < end; ++i) {
         const double gi = g[i] * scale;
         m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
@@ -71,12 +70,7 @@ void Adam::Step() {
         }
         value[i] -= update;
       }
-    };
-    if (fast) {
-      ParallelFor(size, kElementwiseParallelGrain, update_range);
-    } else {
-      update_range(0, size);
-    }
+    });
   }
 }
 
@@ -92,21 +86,16 @@ Sgd::Sgd(std::vector<Var> params, double lr)
 }
 
 void Sgd::Step() {
-  const bool fast = TrainingFastPathEnabled();
   for (Var& p : params_) {
     if (p.grad().empty()) continue;
     double* __restrict value = p.mutable_value().data();
     const double* __restrict g = p.grad().data();
     const size_t size = p.mutable_value().size();
     const double lr = lr_;
-    auto update_range = [&](size_t begin, size_t end) {
+    ParallelFor(size, kElementwiseParallelGrain, [&](size_t begin,
+                                                     size_t end) {
       for (size_t i = begin; i < end; ++i) value[i] -= lr * g[i];
-    };
-    if (fast) {
-      ParallelFor(size, kElementwiseParallelGrain, update_range);
-    } else {
-      update_range(0, size);
-    }
+    });
   }
 }
 

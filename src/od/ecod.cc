@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/util/check.h"
-#include "src/util/fastpath.h"
 #include "src/util/parallel.h"
 
 namespace grgad {
@@ -32,8 +31,8 @@ double Skewness(const std::vector<double>& col) {
 
 /// One column's ECDF tail contributions: nl/nr/na get column j's
 /// -log tail probabilities per sample (na = skewness-selected tail).
-/// The seed loop body, factored so the fast path can run columns in
-/// parallel with identical per-column arithmetic.
+/// Factored out so columns run in parallel with identical per-column
+/// arithmetic.
 void ColumnContributions(const Matrix& x, size_t j, std::vector<double>* col,
                          std::vector<double>* sorted, double* nl, double* nr,
                          double* na) {
@@ -65,51 +64,39 @@ std::vector<double> Ecod::FitScore(const Matrix& x) {
   const size_t d = x.cols();
   GRGAD_CHECK_GT(n, 0u);
   std::vector<double> o_left(n, 0.0), o_right(n, 0.0), o_auto(n, 0.0);
-  if (ScoringFastPathEnabled() && n >= 2 && d >= 2) {
-    // Columns are independent until the final per-sample accumulation, so
-    // the sort + ECDF work (the hot part) fans out over the pool: each
-    // column in a block writes its contributions to its own slice, then the
-    // block reduces in ascending column order per sample — the seed's exact
-    // accumulation order, so the result is bitwise identical to the serial
-    // loop and invariant across GRGAD_THREADS. Blocks bound the
-    // contribution buffers to ~3 * kBlockBudget doubles.
-    constexpr size_t kBlockBudget = 1 << 20;
-    const size_t block =
-        std::max<size_t>(1, std::min<size_t>(32, kBlockBudget / n));
-    std::vector<double> cl(block * n), cr(block * n), ca(block * n);
-    for (size_t j0 = 0; j0 < d; j0 += block) {
-      const size_t bw = std::min(block, d - j0);
-      ParallelFor(bw, 1, [&](size_t begin, size_t end) {
-        std::vector<double> col(n), sorted(n);
-        for (size_t jj = begin; jj < end; ++jj) {
-          ColumnContributions(x, j0 + jj, &col, &sorted, cl.data() + jj * n,
-                              cr.data() + jj * n, ca.data() + jj * n);
-        }
-      });
-      ParallelFor(n, 1 << 14, [&](size_t begin, size_t end) {
-        for (size_t jj = 0; jj < bw; ++jj) {
-          const double* l = cl.data() + jj * n;
-          const double* r = cr.data() + jj * n;
-          const double* a = ca.data() + jj * n;
-          for (size_t i = begin; i < end; ++i) {
-            o_left[i] += l[i];
-            o_right[i] += r[i];
-            o_auto[i] += a[i];
-          }
-        }
-      });
-    }
-  } else {
-    std::vector<double> col(n), sorted(n), nl(n), nr(n), na(n);
-    for (size_t j = 0; j < d; ++j) {
-      ColumnContributions(x, j, &col, &sorted, nl.data(), nr.data(),
-                          na.data());
-      for (size_t i = 0; i < n; ++i) {
-        o_left[i] += nl[i];
-        o_right[i] += nr[i];
-        o_auto[i] += na[i];
+  // Columns are independent until the final per-sample accumulation, so
+  // the sort + ECDF work (the hot part) fans out over the pool: each
+  // column in a block writes its contributions to its own slice, then the
+  // block reduces in ascending column order per sample — the serial
+  // column loop's exact accumulation order, so the result is bitwise
+  // identical to reference::EcodFitScore and invariant across
+  // GRGAD_THREADS. Blocks bound the contribution buffers to
+  // ~3 * kBlockBudget doubles.
+  constexpr size_t kBlockBudget = 1 << 20;
+  const size_t block =
+      std::max<size_t>(1, std::min<size_t>(32, kBlockBudget / n));
+  std::vector<double> cl(block * n), cr(block * n), ca(block * n);
+  for (size_t j0 = 0; j0 < d; j0 += block) {
+    const size_t bw = std::min(block, d - j0);
+    ParallelFor(bw, 1, [&](size_t begin, size_t end) {
+      std::vector<double> col(n), sorted(n);
+      for (size_t jj = begin; jj < end; ++jj) {
+        ColumnContributions(x, j0 + jj, &col, &sorted, cl.data() + jj * n,
+                            cr.data() + jj * n, ca.data() + jj * n);
       }
-    }
+    });
+    ParallelFor(n, 1 << 14, [&](size_t begin, size_t end) {
+      for (size_t jj = 0; jj < bw; ++jj) {
+        const double* l = cl.data() + jj * n;
+        const double* r = cr.data() + jj * n;
+        const double* a = ca.data() + jj * n;
+        for (size_t i = begin; i < end; ++i) {
+          o_left[i] += l[i];
+          o_right[i] += r[i];
+          o_auto[i] += a[i];
+        }
+      }
+    });
   }
   std::vector<double> score(n);
   for (size_t i = 0; i < n; ++i) {

@@ -1,11 +1,9 @@
 #include "src/od/knn.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "src/util/check.h"
-#include "src/util/fastpath.h"
 
 namespace grgad {
 
@@ -13,32 +11,15 @@ Matrix PairwiseDistances(const Matrix& x) {
   internal::CountDistanceSweep();
   const size_t n = x.rows();
   Matrix d(n, n);
-  if (ScoringFastPathEnabled()) {
-    // GEMM identity, panel-streamed straight into the output rows. The
-    // tiled MatMul accumulates each Gram element over columns in ascending
-    // order, so d is bitwise symmetric and the diagonal is exactly zero
-    // (and explicitly zeroed by the panel machinery regardless).
-    internal::ForEachDistancePanel(
-        x, [&d, n](size_t i0, size_t rows, const Matrix& panel) {
-          std::memcpy(d.RowPtr(i0), panel.RowPtr(0),
-                      rows * n * sizeof(double));
-        });
-    return d;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      const double* a = x.RowPtr(i);
-      const double* b = x.RowPtr(j);
-      double s = 0.0;
-      for (size_t k = 0; k < x.cols(); ++k) {
-        const double diff = a[k] - b[k];
-        s += diff * diff;
-      }
-      const double dist = std::sqrt(s);
-      d(i, j) = dist;
-      d(j, i) = dist;
-    }
-  }
+  // GEMM identity, panel-streamed straight into the output rows. The
+  // tiled MatMul accumulates each Gram element over columns in ascending
+  // order, so d is bitwise symmetric and the diagonal is exactly zero
+  // (and explicitly zeroed by the panel machinery regardless).
+  internal::ForEachDistancePanel(
+      x, [&d, n](size_t i0, size_t rows, const Matrix& panel) {
+        std::memcpy(d.RowPtr(i0), panel.RowPtr(0),
+                    rows * n * sizeof(double));
+      });
   return d;
 }
 

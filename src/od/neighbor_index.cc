@@ -5,9 +5,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "src/od/knn.h"
 #include "src/util/check.h"
-#include "src/util/fastpath.h"
 #include "src/util/parallel.h"
 
 namespace grgad {
@@ -130,11 +128,6 @@ NeighborIndex BuildNeighborIndex(const Matrix& x, int k) {
   GRGAD_CHECK_GT(n, 1u);
   k = std::min(k, static_cast<int>(n) - 1);
   GRGAD_CHECK_GT(k, 0);
-  if (!ScoringFastPathEnabled()) {
-    // Seed path: one scalar distance matrix (counted by PairwiseDistances),
-    // then the shared selection.
-    return NeighborIndexFromDistances(PairwiseDistances(x), k);
-  }
   internal::CountDistanceSweep();
   NeighborIndex out;
   out.n = static_cast<int>(n);

@@ -10,16 +10,14 @@
 // (rows are sorted ascending by (distance, id), so the first k' entries of
 // a k-index are exactly the k'-index).
 //
-// Construction is the scoring tentpole's hot path. With the scoring fast
-// path enabled (src/util/fastpath.h), distances come from the identity
-// ‖xᵢ−xⱼ‖² = ‖xᵢ‖² + ‖xⱼ‖² − 2·xᵢ·xⱼ via the register-tiled MatMul,
-// streamed in row panels so large n never materializes an n×n matrix, with
-// per-row partial selection parallelized over the pool. With it disabled,
-// the seed-shaped scalar distance matrix feeds the same selection. Both
-// paths use the seed's deterministic tie-break (distance, then id) and are
-// bitwise reproducible across runs and GRGAD_THREADS; fast-path distances
-// differ from seed-path distances only in FP contraction (rank-level
-// contract, see PERF.md "Scoring stage").
+// Construction is the scoring stage's hot path. Distances come from the
+// identity ‖xᵢ−xⱼ‖² = ‖xᵢ‖² + ‖xⱼ‖² − 2·xᵢ·xⱼ via the register-tiled
+// MatMul, streamed in row panels so large n never materializes an n×n
+// matrix, with per-row partial selection parallelized over the pool. The
+// selection uses the seed's deterministic tie-break (distance, then id) and
+// is bitwise reproducible across runs and GRGAD_THREADS; distances differ
+// from the scalar reference::PairwiseDistances only in FP contraction
+// (rank-level contract, see PERF.md "Scoring stage").
 #ifndef GRGAD_OD_NEIGHBOR_INDEX_H_
 #define GRGAD_OD_NEIGHBOR_INDEX_H_
 
@@ -47,14 +45,13 @@ struct NeighborIndex {
   bool empty() const { return n == 0; }
 };
 
-/// Builds the index over the rows of x (n >= 2; k clamped to n-1). Routes
-/// through the GEMM panel path or the seed scalar path per the scoring
-/// fast-path switch. Exactly one distance sweep either way.
+/// Builds the index over the rows of x (n >= 2; k clamped to n-1) from the
+/// GEMM distance panels. Exactly one distance sweep.
 NeighborIndex BuildNeighborIndex(const Matrix& x, int k);
 
 /// Selection-only constructor from a precomputed full distance matrix
-/// (n x n, zero diagonal) — the seed path, and the overload that lets
-/// callers holding a distance matrix avoid recomputing it. Serial; performs
+/// (n x n, zero diagonal) — the overload that lets callers holding a
+/// distance matrix avoid recomputing it. Serial; performs
 /// no distance sweep.
 NeighborIndex NeighborIndexFromDistances(const Matrix& d, int k);
 
@@ -62,7 +59,7 @@ namespace internal {
 
 /// Streams the pairwise-distance matrix of x in row panels: sink(i0, rows,
 /// panel) receives distances for rows [i0, i0+rows) as the first `rows`
-/// rows of `panel` (each row length n, sqrt'ed, diagonal zeroed). Fast-path
+/// rows of `panel` (each row length n, sqrt'ed, diagonal zeroed). GEMM
 /// machinery shared by BuildNeighborIndex and PairwiseDistances; does not
 /// touch the sweep counter.
 void ForEachDistancePanel(

@@ -9,7 +9,6 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/graphsnn.h"
 #include "src/graph/traversal_workspace.h"
-#include "src/util/fastpath.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
@@ -101,7 +100,7 @@ std::vector<double> SnnPathCosts(const Graph& g,
   return costs;
 }
 
-/// One anchor's search (fast path): BFS tree + one weighted search + cycle
+/// One anchor's search in Sample(): BFS tree + one weighted search + cycle
 /// DFS, all on the two leased workspaces, emitting normalized candidates in
 /// exactly the seed's per-anchor order into `out`.
 void SampleAnchor(const Graph& g, const GroupSamplerOptions& options,
@@ -178,7 +177,7 @@ void SampleAnchor(const Graph& g, const GroupSamplerOptions& options,
 /// hash probes plus the output pushes — no per-distinct-candidate tree-node
 /// allocation, the last per-call red-black-tree growth on the hot path.
 /// First-occurrence admit order is preserved, which is what the bitwise
-/// seed==fast contract hangs on.
+/// Sample == SampleReference contract hangs on.
 class FlatGroupSet {
  public:
   /// `expected` pre-sizes the table so a normal admit sequence never
@@ -254,7 +253,7 @@ void GroupSampler::TrimWorkspaces() {
 void GroupSampler::PrewarmWorkspaces(const Graph& g,
                                      const GroupSamplerOptions& options,
                                      int count) {
-  // Mirror SampleFast's own Prewarm calls exactly: the BFS pool needs
+  // Mirror ResampleAnchors' own Prewarm calls exactly: the BFS pool needs
   // n-sized buffers, the weighted pool additionally the worst-case Dijkstra
   // heap reserve when attribute-distance path search is in effect.
   const int instances = std::max(count, ParallelismDegree());
@@ -275,16 +274,9 @@ std::vector<std::vector<int>> GroupSampler::Sample(
 std::vector<std::vector<int>> GroupSampler::Sample(
     const Graph& g, const std::vector<int>& anchors,
     SampleTelemetry* telemetry) const {
-  return CandidateFastPathEnabled() ? SampleFast(g, anchors, telemetry)
-                                    : SampleSeed(g, anchors, telemetry);
-}
-
-std::vector<std::vector<int>> GroupSampler::SampleFast(
-    const Graph& g, const std::vector<int>& anchors,
-    SampleTelemetry* telemetry) const {
-  // The fast path IS resample-everything + finalize: the incremental
-  // refresh path reuses the exact same two stages with a smaller index set,
-  // which is why its merged output can be bitwise identical to this one.
+  // Sample IS resample-everything + finalize: the incremental refresh path
+  // reuses the exact same two stages with a smaller index set, which is why
+  // its merged output can be bitwise identical to this one.
   std::vector<int> all(anchors.size());
   std::iota(all.begin(), all.end(), 0);
   std::vector<std::vector<std::vector<int>>> per_anchor;
@@ -420,14 +412,12 @@ std::vector<std::vector<int>> GroupSampler::FinalizeCandidates(
   return out;
 }
 
-std::vector<std::vector<int>> GroupSampler::SampleSeed(
-    const Graph& g, const std::vector<int>& anchors,
-    SampleTelemetry* telemetry) const {
-  Timer phase_timer;
+std::vector<std::vector<int>> GroupSampler::SampleReference(
+    const Graph& g, const std::vector<int>& anchors) const {
   std::vector<std::vector<int>> out;
   FlatGroupSet seen(/*expected=*/64);  // Exact-duplicate filter; grows.
-  // Same normalization helper + dedup structure as the fast path — the
-  // bitwise seed==fast contract hangs on the two paths sharing them.
+  // Same normalization helper + dedup structure as Sample — the bitwise
+  // Sample == SampleReference contract hangs on the two sharing them.
   auto emit = [&](std::vector<int> group) {
     if (NormalizeGroup(options_, &group)) seen.Admit(std::move(group), &out);
   };
@@ -447,8 +437,8 @@ std::vector<std::vector<int>> GroupSampler::SampleSeed(
   };
 
   for (int v : anchors) {
-    // Stop poll per anchor (see SampleFast): partial output is discarded by
-    // the caller once it observes the fired token.
+    // Stop poll per anchor (see ResampleAnchors): partial output is
+    // discarded by the caller once it observes the fired token.
     if (options_.cancel.stop_requested()) break;
     // One BFS serves pair discovery (hop distances) for every µ; the
     // weighted parents come from a single Dijkstra per anchor.
@@ -502,10 +492,6 @@ std::vector<std::vector<int>> GroupSampler::SampleSeed(
                                       options_.cycle_max_steps);
     for (const auto& cycle : cycles) emit(cycle);
   }
-  if (telemetry != nullptr) {
-    telemetry->search_seconds = phase_timer.ElapsedSeconds();
-    phase_timer.Reset();
-  }
 
   // --- Extension: bridged connected components of the anchor set. ---
   if (options_.include_anchor_components) {
@@ -521,15 +507,7 @@ std::vector<std::vector<int>> GroupSampler::SampleSeed(
       emit(std::move(component));
     }
   }
-  if (telemetry != nullptr) {
-    telemetry->components_seconds = phase_timer.ElapsedSeconds();
-    phase_timer.Reset();
-  }
-
   SubsampleIfOver(options_, &out);
-  if (telemetry != nullptr) {
-    telemetry->select_seconds = phase_timer.ElapsedSeconds();
-  }
   return out;
 }
 

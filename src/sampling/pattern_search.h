@@ -6,8 +6,8 @@
 // endpoint simple chains, trees as BFS trees hanging from branching roots
 // in the acyclic remainder.
 //
-// Both entry points run on a materialized `Graph` (the seed shape) or on a
-// non-materializing `SubgraphView` (the candidate fast path) — the two
+// Both entry points run on a materialized `Graph` or on a non-materializing
+// `SubgraphView` (what the candidate stage and TPGCL pass) — the two
 // produce identical patterns, since a view exposes the exact local graph
 // its materialization would (tests/traversal_equivalence_test.cc).
 #ifndef GRGAD_SAMPLING_PATTERN_SEARCH_H_

@@ -158,23 +158,6 @@ void Recycle(Matrix&& m);
 
 }  // namespace arena
 
-// ---------------------------------------------------------------------------
-// Training fast-path switch.
-// ---------------------------------------------------------------------------
-
-/// When true (the default), training loops install arenas, Mlp fuses
-/// bias+ReLU, and the optimizers run their chunked single-pass updates.
-/// When false, every one of those paths falls back to the seed behavior
-/// (fresh heap matrices, unfused ops, serial optimizer loops). Both
-/// settings produce bitwise identical training outputs; the switch exists
-/// so `micro_benchmarks` can measure seed-vs-optimized *epochs* and so
-/// tests can assert the two paths agree byte for byte.
-bool TrainingFastPathEnabled();
-
-/// Flips the fast path globally; returns the previous setting. Not
-/// intended for concurrent toggling while training runs.
-bool SetTrainingFastPath(bool enabled);
-
 }  // namespace grgad
 
 #endif  // GRGAD_TENSOR_ARENA_H_

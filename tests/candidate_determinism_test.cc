@@ -1,14 +1,12 @@
 // Determinism contract of the rebuilt candidate stage (PERF.md, "Candidate
 // stage"):
 //   - GroupSampler::Sample output — groups, order, and the seeded
-//     subsample draw — is bitwise identical between the anchor-parallel
-//     fast path and the frozen serial seed path, in every path-search
-//     mode;
-//   - the fast path is invariant across GRGAD_THREADS and across repeated
-//     runs (pooled workspaces carry no state between calls);
-//   - TPGCL's view-based candidate consumption (pattern search,
-//     augmentation, batch build off SubgraphViews) trains to bitwise
-//     identical embeddings and losses as the InducedSubgraph seed path;
+//     subsample draw — is bitwise identical to the frozen serial seed
+//     sampler (GroupSampler::SampleReference), in every path-search mode;
+//   - Sample is invariant across GRGAD_THREADS and across repeated runs
+//     (pooled workspaces carry no state between calls);
+//   - TPGCL's view-based batch build is bitwise identical to the batch
+//     built from InducedSubgraph copies;
 //   - the candidate stage reports candidates/* sub-stage timings under
 //     profile telemetry;
 //   - steady-state sampling performs zero workspace heap allocations.
@@ -23,7 +21,6 @@
 #include "src/gcl/tpgcl.h"
 #include "src/graph/traversal_workspace.h"
 #include "src/sampling/group_sampler.h"
-#include "src/util/fastpath.h"
 #include "tests/kernel_test_util.h"
 
 namespace grgad {
@@ -31,20 +28,6 @@ namespace {
 
 using testing::BitwiseEqual;
 using testing::ScopedDegree;
-
-/// Restores the candidate fast-path switch on scope exit.
-class ScopedCandidateFastPath {
- public:
-  explicit ScopedCandidateFastPath(bool enabled)
-      : prev_(SetCandidateFastPath(enabled)) {}
-  ~ScopedCandidateFastPath() { SetCandidateFastPath(prev_); }
-
-  ScopedCandidateFastPath(const ScopedCandidateFastPath&) = delete;
-  ScopedCandidateFastPath& operator=(const ScopedCandidateFastPath&) = delete;
-
- private:
-  bool prev_;
-};
 
 /// The paper's example graph plus a dense anchor set (planted group members
 /// and a sweep) — enough anchors that every search branch fires.
@@ -73,24 +56,21 @@ GroupSamplerOptions ModeOptions(PathSearchMode mode) {
   return options;
 }
 
-TEST(CandidateDeterminismTest, FastPathMatchesSeedInEveryMode) {
+TEST(CandidateDeterminismTest, SampleMatchesReferenceInEveryMode) {
   const Fixture f = MakeFixture();
   for (PathSearchMode mode :
        {PathSearchMode::kUnweighted, PathSearchMode::kAttributeDistance,
         PathSearchMode::kGraphSnnWeighted}) {
     GroupSampler sampler(ModeOptions(mode));
-    ScopedCandidateFastPath seed_path(false);
-    const auto want = sampler.Sample(f.dataset.graph, f.anchors);
-    SetCandidateFastPath(true);
+    const auto want = sampler.SampleReference(f.dataset.graph, f.anchors);
     const auto got = sampler.Sample(f.dataset.graph, f.anchors);
     ASSERT_FALSE(want.empty());
     EXPECT_EQ(got, want) << "mode=" << static_cast<int>(mode);
   }
 }
 
-TEST(CandidateDeterminismTest, FastPathInvariantAcrossThreadsAndRuns) {
+TEST(CandidateDeterminismTest, SampleInvariantAcrossThreadsAndRuns) {
   const Fixture f = MakeFixture();
-  ScopedCandidateFastPath fast_path(true);
   GroupSampler sampler(ModeOptions(PathSearchMode::kAttributeDistance));
   std::vector<std::vector<int>> reference;
   {
@@ -112,10 +92,8 @@ TEST(CandidateDeterminismTest, SubsampleDrawIsPreserved) {
   GroupSamplerOptions options;  // Default attribute-distance mode.
   options.max_groups = 7;      // Forces the seeded subsample.
   GroupSampler sampler(options);
-  ScopedCandidateFastPath seed_path(false);
-  const auto want = sampler.Sample(f.dataset.graph, f.anchors);
+  const auto want = sampler.SampleReference(f.dataset.graph, f.anchors);
   ASSERT_EQ(want.size(), 7u);
-  SetCandidateFastPath(true);
   for (int degree : {1, 4}) {
     ScopedDegree scoped(degree);
     EXPECT_EQ(sampler.Sample(f.dataset.graph, f.anchors), want);
@@ -124,7 +102,6 @@ TEST(CandidateDeterminismTest, SubsampleDrawIsPreserved) {
 
 TEST(CandidateDeterminismTest, TelemetryDoesNotChangeOutput) {
   const Fixture f = MakeFixture();
-  ScopedCandidateFastPath fast_path(true);
   GroupSampler sampler{GroupSamplerOptions{}};
   const auto want = sampler.Sample(f.dataset.graph, f.anchors);
   SampleTelemetry telemetry;
@@ -160,7 +137,6 @@ TEST(CandidateDeterminismTest, CandidateStageProfileSubStages) {
 
 TEST(CandidateDeterminismTest, SteadyStateSamplingIsWorkspaceAllocFree) {
   const Fixture f = MakeFixture();
-  ScopedCandidateFastPath fast_path(true);
   ScopedDegree degree(4);
   GroupSampler sampler{GroupSamplerOptions{}};
   // Two warm-up calls grow every pooled workspace to this graph.
@@ -173,31 +149,10 @@ TEST(CandidateDeterminismTest, SteadyStateSamplingIsWorkspaceAllocFree) {
 
 TEST(CandidateDeterminismTest, TrimWorkspacesRewarmsCleanly) {
   const Fixture f = MakeFixture();
-  ScopedCandidateFastPath fast_path(true);
   GroupSampler sampler{GroupSamplerOptions{}};
   const auto want = sampler.Sample(f.dataset.graph, f.anchors);
   GroupSampler::TrimWorkspaces();
   EXPECT_EQ(sampler.Sample(f.dataset.graph, f.anchors), want);
-}
-
-TEST(CandidateDeterminismTest, TpgclViewPathMatchesInducedPath) {
-  const Fixture f = MakeFixture();
-  // A realistic candidate set: the planted groups plus sliding windows.
-  std::vector<std::vector<int>> groups = f.dataset.anomaly_groups;
-  for (int i = 0; i + 8 < f.dataset.graph.num_nodes() && groups.size() < 24;
-       i += 9) {
-    groups.push_back({i, i + 1, i + 2, i + 3, i + 4, i + 5, i + 6, i + 7});
-  }
-  TpgclOptions options;
-  options.epochs = 4;
-  options.seed = 11;
-  Tpgcl tpgcl(options);
-  ScopedCandidateFastPath seed_path(false);
-  const TpgclResult want = tpgcl.FitEmbed(f.dataset.graph, groups);
-  SetCandidateFastPath(true);
-  const TpgclResult got = tpgcl.FitEmbed(f.dataset.graph, groups);
-  EXPECT_EQ(got.loss_history, want.loss_history);
-  EXPECT_TRUE(BitwiseEqual(got.embeddings, want.embeddings));
 }
 
 TEST(CandidateDeterminismTest, BatchFromGroupsMatchesInducedBatch) {

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""CI gate over bench_results/micro.json (grgad-micro-v7).
+"""CI gate over bench_results/micro.json (grgad-micro-v8).
 
 Fails (exit 1) when:
-  - the schema is not grgad-micro-v7, or the candidates/kernels/scoring/
-    epochs/serve/mutations tables are missing or empty;
+  - the schema is not grgad-micro-v8, or the candidates/kernels/scoring/
+    epochs/serve/mutations/durability tables are missing or empty;
   - the candidates table lacks any of the required seed-vs-opt entries
     (sampler, pattern_search, augment), or the sampler entry reports a
     nonzero steady-state workspace heap-allocation count;
   - the scoring table lacks any of the required seed-vs-opt entries
     (pairwise, knn, lof, iforest, ecod, graphsnn);
+  - the epochs table lacks the gae_epoch / tpgcl_epoch entries, or any
+    epochs entry reports a nonzero arena.steady_fit_heap_allocs (a
+    pre-warmed training fit must be served entirely from the arena's free
+    lists);
   - the serve table lacks a round_trip entry with a positive mean_ms
     (the resident daemon answered every timed request);
   - the mutations table lacks the apply_edge / invalidate / refresh
@@ -23,10 +27,11 @@ Fails (exit 1) when:
   - any candidates or scoring entry's optimized path regresses more than
     REGRESSION_LIMIT (1.5x) against its frozen seed baseline on the runner.
 
-The kernels/epochs tables are checked for presence only: their acceptable
-ratios are ISA-dependent (see PERF.md) and already tracked as uploaded
-artifacts, while the candidates, scoring, and mutations tables are the
-gates their stage rebuilds own.
+The kernels table and the epochs timings are checked for presence only:
+kernel ratios are ISA-dependent (see PERF.md) and already tracked as
+uploaded artifacts, and epochs have no seed side to compare against. The
+candidates, scoring, and mutations tables are the gates their stage
+rebuilds own.
 """
 import json
 import sys
@@ -38,6 +43,7 @@ REQUIRED_CANDIDATES = {"sampler", "pattern_search", "augment"}
 REQUIRED_SCORING = {"pairwise", "knn", "lof", "iforest", "ecod", "graphsnn"}
 REQUIRED_MUTATIONS = {"apply_edge", "invalidate", "refresh"}
 REQUIRED_DURABILITY = {"wal_append", "snapshot", "replay"}
+REQUIRED_EPOCHS = {"gae_epoch", "tpgcl_epoch"}
 
 
 def check_gated_table(data, table, required, failures):
@@ -128,6 +134,26 @@ def check_durability(data, failures):
                 f" beat a from-scratch rebuild)")
 
 
+def check_epochs(data, failures):
+    entries = data.get("epochs") or []
+    names = {entry.get("name") for entry in entries}
+    for missing in sorted(REQUIRED_EPOCHS - names):
+        failures.append(f"epochs table is missing entry {missing!r}")
+
+    for entry in entries:
+        name = entry.get("name", "?")
+        allocs = (entry.get("arena") or {}).get("steady_fit_heap_allocs")
+        print(f"  epochs {name:<15} opt {entry.get('opt_ms', 0.0):9.3f} ms"
+              f"   steady fit heap allocs {allocs}")
+        if allocs is None:
+            failures.append(
+                f"epochs entry {name!r} lacks arena.steady_fit_heap_allocs")
+        elif allocs != 0:
+            failures.append(
+                f"epochs entry {name!r} steady-state arena heap allocs ="
+                f" {allocs}, expected 0")
+
+
 def main() -> int:
     path = sys.argv[1] if len(sys.argv) > 1 else "bench_results/micro.json"
     with open(path) as f:
@@ -135,8 +161,8 @@ def main() -> int:
 
     failures = []
     schema = data.get("schema")
-    if schema != "grgad-micro-v7":
-        failures.append(f"schema is {schema!r}, expected 'grgad-micro-v7'")
+    if schema != "grgad-micro-v8":
+        failures.append(f"schema is {schema!r}, expected 'grgad-micro-v8'")
 
     for table in ("candidates", "kernels", "scoring", "epochs", "serve",
                   "mutations", "durability"):
@@ -145,6 +171,7 @@ def main() -> int:
 
     check_gated_table(data, "candidates", REQUIRED_CANDIDATES, failures)
     check_gated_table(data, "scoring", REQUIRED_SCORING, failures)
+    check_epochs(data, failures)
     check_mutations(data, failures)
     check_durability(data, failures)
 
@@ -178,9 +205,10 @@ def main() -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print(f"OK: {path} is grgad-micro-v7 with complete candidates/scoring/"
-          f"serve/mutations/durability tables, 0 steady-state sampler workspace "
-          f"allocs, incremental refresh >= {REFRESH_SPEEDUP_FLOOR}x, "
+    print(f"OK: {path} is grgad-micro-v8 with complete candidates/scoring/"
+          f"epochs/serve/mutations/durability tables, 0 steady-state sampler "
+          f"workspace allocs, 0 steady-state arena allocs per training fit, "
+          f"incremental refresh >= {REFRESH_SPEEDUP_FLOOR}x, "
           f"crash-recovery replay >= {REPLAY_SPEEDUP_FLOOR}x, and no opt "
           f"regression beyond {REGRESSION_LIMIT}x")
     return 0

@@ -48,6 +48,7 @@
 #include "src/core/stages.h"
 #include "src/data/registry.h"
 #include "src/od/detector.h"
+#include "src/serve/request.h"
 #include "src/serve/server.h"
 #include "src/serve/wal.h"
 #include "src/util/fault.h"
@@ -78,27 +79,6 @@ void HookStopSignals(bool install) {
 
 // ---- tiny JSON writer -------------------------------------------------------
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string JsonNumber(double v) {
   if (!std::isfinite(v)) return "null";  // Bare nan/inf is invalid JSON.
   char buf[40];
@@ -118,7 +98,7 @@ void JsonField(std::string* out, const char* key, const std::string& value,
 }
 
 std::string JsonString(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
+  return "\"" + JsonEscapeText(s) + "\"";
 }
 
 // ---- argument parsing -------------------------------------------------------
