@@ -95,27 +95,31 @@ void GraphBuilder::AddEdge(int u, int v) {
   if (u == v) return;
   if (u > v) std::swap(u, v);
   edges_.emplace_back(u, v);
-  sorted_ = false;
 }
 
-void GraphBuilder::EnsureSorted() const {
-  if (sorted_) return;
-  auto& edges = const_cast<std::vector<std::pair<int, int>>&>(edges_);
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  sorted_ = true;
+void GraphBuilder::MergeTail() const {
+  if (sorted_prefix_ == edges_.size()) return;
+  const auto mid =
+      edges_.begin() + static_cast<std::ptrdiff_t>(sorted_prefix_);
+  std::sort(mid, edges_.end());
+  std::inplace_merge(edges_.begin(), mid, edges_.end());
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+  sorted_prefix_ = edges_.size();
 }
 
 bool GraphBuilder::HasEdge(int u, int v) const {
   if (u == v) return false;
   if (u > v) std::swap(u, v);
-  EnsureSorted();
-  return std::binary_search(edges_.begin(), edges_.end(),
-                            std::make_pair(u, v));
+  if (edges_.size() - sorted_prefix_ > kTailMergeLength) MergeTail();
+  const std::pair<int, int> edge(u, v);
+  const auto mid =
+      edges_.begin() + static_cast<std::ptrdiff_t>(sorted_prefix_);
+  return std::binary_search(edges_.begin(), mid, edge) ||
+         std::find(mid, edges_.end(), edge) != edges_.end();
 }
 
 Graph GraphBuilder::Build(Matrix attributes) const {
-  EnsureSorted();
+  MergeTail();
   Graph g;
   g.num_nodes_ = num_nodes_;
   g.offsets_.assign(num_nodes_ + 1, 0);

@@ -105,6 +105,13 @@ class Graph {
 
 /// Accumulates edges and produces a Graph. Self-loops and duplicate edges
 /// are silently dropped.
+///
+/// Generators interleave HasEdge with AddEdge (rejection sampling of random
+/// edges), so the edge list is kept as a sorted, duplicate-free prefix plus
+/// an unsorted tail. AddEdge appends to the tail; HasEdge first merges a
+/// tail longer than kTailMergeLength into the prefix, then binary-searches
+/// the prefix and scans the rest. Bulk loaders that never query pay one
+/// sort, in Build.
 class GraphBuilder {
  public:
   /// Fixed node count; ids are [0, num_nodes).
@@ -115,24 +122,31 @@ class GraphBuilder {
 
   /// Number of distinct undirected edges added so far.
   int num_edges() const {
-    EnsureSorted();
+    MergeTail();
     return static_cast<int>(edges_.size());
   }
   int num_nodes() const { return num_nodes_; }
 
-  /// True iff {u,v} was already added (O(log E)); convenience for builders
-  /// that must avoid colliding injected edges.
+  /// True iff {u,v} was already added: O(log E) over the prefix plus a scan
+  /// of at most kTailMergeLength tail edges, after merging a longer tail.
+  /// Convenience for builders that must avoid colliding injected edges.
   bool HasEdge(int u, int v) const;
 
   /// Finalizes into an immutable Graph; the builder may be reused afterwards.
   Graph Build(Matrix attributes = Matrix()) const;
 
  private:
+  /// Tail length past which HasEdge merges the tail into the prefix.
+  static constexpr size_t kTailMergeLength = 64;
+
+  /// Sorts the tail, merges it into the prefix and drops duplicates.
+  void MergeTail() const;
+
   int num_nodes_;
-  // Normalized (min, max) pairs in a sorted set-like vector.
-  std::vector<std::pair<int, int>> edges_;
-  mutable bool sorted_ = true;
-  void EnsureSorted() const;
+  // Normalized (min, max) pairs: [0, sorted_prefix_) is sorted and unique,
+  // the rest is the unsorted tail (duplicates allowed).
+  mutable std::vector<std::pair<int, int>> edges_;
+  mutable size_t sorted_prefix_ = 0;
 };
 
 }  // namespace grgad

@@ -139,10 +139,29 @@ Status ServeDaemon::EnableDurability(const LoadedServeSnapshot* snapshot) {
   // Replay the tail above the snapshot's high-water mark through the same
   // apply/mark/refresh path live traffic takes; records at or below it are
   // already folded into the snapshot (the crash-before-truncate window).
+  //
+  // Only the tail's last refresh marker runs RefreshArtifacts. Each earlier
+  // marker's result would be overwritten by the next, so its dirty marks
+  // stay in the tracker and the last marker resamples their union on the
+  // final graph. That lands bitwise where the live daemon did: refreshed
+  // artifacts equal a from-scratch candidate stage on the current graph
+  // (src/core/refresh.h), and an anchor left unmarked since the refresh
+  // that cached it still has a cached list valid for the current graph.
+  // Marks from mutations after the last marker stay pending, as they did.
+  const std::vector<WalRecord>& records = wal_->records();
+  size_t last_refresh = records.size();
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].seq > base &&
+        records[i].kind == WalRecord::Kind::kRefresh) {
+      last_refresh = i;
+    }
+  }
   size_t replayed = 0;
-  for (const WalRecord& record : wal_->records()) {
-    if (record.seq <= base) continue;
-    GRGAD_RETURN_IF_ERROR(ReplayWalRecord(record));
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].seq <= base) continue;
+    if (records[i].kind != WalRecord::Kind::kRefresh || i == last_refresh) {
+      GRGAD_RETURN_IF_ERROR(ReplayWalRecord(records[i]));
+    }
     ++replayed;
   }
   if (wal_->last_seq() < base) {

@@ -2,6 +2,9 @@
 // pattern mixes (Table II), label consistency, and the synthetic-commons.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -68,6 +71,62 @@ TEST_P(RegistryDatasetTest, DifferentSeedsDiffer) {
 
 INSTANTIATE_TEST_SUITE_P(AllDatasets, RegistryDatasetTest,
                          ::testing::ValuesIn(ListDatasets()));
+
+/// FNV-1a over a dataset's CSR rows, attribute bit patterns and anomaly
+/// groups: any change to a generator's output (or to the GraphBuilder that
+/// assembles it) changes the digest.
+uint64_t DatasetDigest(const Dataset& d) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  const Graph& g = d.graph;
+  mix(static_cast<uint64_t>(g.num_nodes()));
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    mix(static_cast<uint64_t>(g.Degree(v)));
+    for (int w : g.Neighbors(v)) mix(static_cast<uint64_t>(w));
+  }
+  const Matrix& x = g.attributes();
+  mix(x.rows());
+  mix(x.cols());
+  for (size_t i = 0; i < x.rows() * x.cols(); ++i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, x.data() + i, sizeof(bits));
+    mix(bits);
+  }
+  mix(d.anomaly_groups.size());
+  for (const auto& group : d.anomaly_groups) {
+    mix(group.size());
+    for (int v : group) mix(static_cast<uint64_t>(v));
+  }
+  return h;
+}
+
+// Digests at default options (seed 42, paper scale, each generator's own
+// attribute width). A failure means a registry dataset changed bit for bit:
+// a generator or GraphBuilder change altered the data every other golden
+// in the repository was measured on.
+TEST(RegistryTest, DatasetDigestsArePinned) {
+  const std::map<std::string, uint64_t> golden = {
+      {"simml", 0x08e1cf19b980a80dull},
+      {"cora-group", 0x5f4bd19c3a613cc4ull},
+      {"citeseer-group", 0x497fa24a8fccc7c3ull},
+      {"amlpublic", 0x151f71a58b7597daull},
+      {"ethereum", 0x75e56e4de90d2cb4ull},
+      {"example", 0xaef694079460fcd3ull},
+  };
+  ASSERT_EQ(ListDatasets().size(), golden.size());
+  for (const std::string& name : ListDatasets()) {
+    auto d = MakeDataset(name, DatasetOptions{});
+    ASSERT_TRUE(d.ok()) << name << ": " << d.status().ToString();
+    ASSERT_EQ(golden.count(name), 1u) << name;
+    EXPECT_EQ(DatasetDigest(d.value()), golden.at(name))
+        << name << std::hex << " digest 0x" << DatasetDigest(d.value());
+  }
+}
 
 TEST(RegistryTest, UnknownNameIsNotFound) {
   auto result = MakeDataset("no-such-dataset", {});

@@ -16,7 +16,9 @@
 // in-process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -393,9 +395,19 @@ std::vector<std::pair<int, int>> AbsentEdges(size_t count) {
   return absent;
 }
 
-std::unique_ptr<ServeDaemon> MakeDaemon(const std::string& state_dir) {
+/// The daemon that never crashes and is never durable.
+std::unique_ptr<ServeDaemon> MakeReferenceDaemon(
+    const TpGrGadOptions& pipeline = QuickOptions()) {
   ServeOptions options;
-  options.pipeline = QuickOptions();
+  options.pipeline = pipeline;
+  return std::make_unique<ServeDaemon>(TestDataset().graph, TrainedArtifacts(),
+                                       std::move(options));
+}
+
+std::unique_ptr<ServeDaemon> MakeDaemon(const std::string& state_dir,
+                                        const TpGrGadOptions& pipeline) {
+  ServeOptions options;
+  options.pipeline = pipeline;
   options.state_dir = state_dir;
   return std::make_unique<ServeDaemon>(TestDataset().graph, TrainedArtifacts(),
                                        std::move(options));
@@ -410,14 +422,15 @@ struct Recovered {
   std::unique_ptr<ServeDaemon> daemon;
 };
 
-Recovered Recover(const std::string& state_dir) {
+Recovered Recover(const std::string& state_dir,
+                  const TpGrGadOptions& pipeline = QuickOptions()) {
   Recovered out;
   auto loaded = LoadServeSnapshot(state_dir);
   if (loaded.ok()) {
     out.snapshot =
         std::make_unique<LoadedServeSnapshot>(std::move(loaded).value());
     ServeOptions options;
-    options.pipeline = QuickOptions();
+    options.pipeline = pipeline;
     options.state_dir = state_dir;
     PipelineArtifacts artifacts = std::move(out.snapshot->artifacts);
     out.daemon = std::make_unique<ServeDaemon>(
@@ -425,7 +438,7 @@ Recovered Recover(const std::string& state_dir) {
   } else {
     EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound)
         << loaded.status().ToString();
-    out.daemon = MakeDaemon(state_dir);
+    out.daemon = MakeDaemon(state_dir, pipeline);
   }
   const Status durable = out.daemon->EnableDurability(out.snapshot.get());
   EXPECT_TRUE(durable.ok()) << durable.ToString();
@@ -451,8 +464,7 @@ TEST(WalTest, RecoveryReplaysTheWalTailBitwise) {
   };
 
   // The reference daemon never crashes and is never durable.
-  auto reference = std::make_unique<ServeDaemon>(
-      TestDataset().graph, TrainedArtifacts(), ServeOptions{QuickOptions()});
+  auto reference = MakeReferenceDaemon();
   std::vector<std::string> reference_responses;
   for (const std::string& op : ops) {
     reference_responses.push_back(Exec(reference.get(), op));
@@ -494,8 +506,7 @@ TEST(WalTest, SnapshotPlusWalTailRestartsBitwise) {
       EdgeOp(5, false, edges[1].first, edges[1].second),
   };
 
-  auto reference = std::make_unique<ServeDaemon>(
-      TestDataset().graph, TrainedArtifacts(), ServeOptions{QuickOptions()});
+  auto reference = MakeReferenceDaemon();
   for (const std::string& op : before_snapshot) (void)Exec(reference.get(), op);
   for (const std::string& op : after_snapshot) (void)Exec(reference.get(), op);
 
@@ -534,8 +545,7 @@ TEST(WalTest, StaleSnapshotSkipsWalRecordsItAlreadyCovers) {
   };
   const std::string tail = EdgeOp(3, true, edges[1].first, edges[1].second);
 
-  auto reference = std::make_unique<ServeDaemon>(
-      TestDataset().graph, TrainedArtifacts(), ServeOptions{QuickOptions()});
+  auto reference = MakeReferenceDaemon();
   for (const std::string& op : covered) (void)Exec(reference.get(), op);
   (void)Exec(reference.get(), tail);
 
@@ -585,8 +595,7 @@ TEST(WalTest, CorruptWalTailRecoversToLastValidStateWithDataLossNote) {
   const auto edges = AbsentEdges(2);
 
   // Reference: only the first mutation — the second will be destroyed.
-  auto reference = std::make_unique<ServeDaemon>(
-      TestDataset().graph, TrainedArtifacts(), ServeOptions{QuickOptions()});
+  auto reference = MakeReferenceDaemon();
   (void)Exec(reference.get(),
              EdgeOp(1, true, edges[0].first, edges[0].second));
 
@@ -615,6 +624,144 @@ TEST(WalTest, CorruptWalTailRecoversToLastValidStateWithDataLossNote) {
   EXPECT_NE(metrics.find("DataLoss"), std::string::npos) << metrics;
   EXPECT_EQ(Probe(restarted.daemon.get()), Probe(reference.get()));
 }
+
+/// The incremental-refresh configuration: hop-count paths with radius 3, so
+/// a mutation marks only the anchors near it and the refreshes between WAL
+/// markers resample different anchor sets.
+TpGrGadOptions LocalRefreshOptions() {
+  TpGrGadOptions options = QuickOptions();
+  options.sampler.path_mode = PathSearchMode::kUnweighted;
+  options.sampler.pair_radius = 3;
+  options.sampler.cycle_max_len = 3;
+  return options;
+}
+
+/// `count` distinct absent anchor pairs spread over the anchor list: an
+/// edge between two anchors shortens the path between them, so each toggle
+/// changes the candidates of the anchors it marks.
+std::vector<std::pair<int, int>> SpreadAnchorPairs(size_t count) {
+  const Graph& graph = TestDataset().graph;
+  const std::vector<int>& anchors = TrainedArtifacts().anchors;
+  const size_t m = anchors.size();
+  std::vector<std::pair<int, int>> out;
+  for (size_t i = 0; i < count; ++i) {
+    const int a = anchors[i * m / count];
+    for (size_t k = 0; k < m; ++k) {
+      const int b = anchors[(i * m / count + m / 3 + k) % m];
+      const std::pair<int, int> edge(std::min(a, b), std::max(a, b));
+      if (a == b || graph.HasEdge(a, b) ||
+          std::find(out.begin(), out.end(), edge) != out.end()) {
+        continue;
+      }
+      out.push_back(edge);
+      break;
+    }
+  }
+  EXPECT_EQ(out.size(), count);
+  return out;
+}
+
+void ExpectArtifactsBitwise(const PipelineArtifacts& a,
+                            const PipelineArtifacts& b) {
+  EXPECT_EQ(a.anchors, b.anchors);
+  EXPECT_EQ(a.candidate_groups, b.candidate_groups);
+  EXPECT_EQ(a.group_scores, b.group_scores);
+  ASSERT_EQ(a.scored_groups.size(), b.scored_groups.size());
+  for (size_t i = 0; i < a.scored_groups.size(); ++i) {
+    EXPECT_EQ(a.scored_groups[i].nodes, b.scored_groups[i].nodes) << i;
+    EXPECT_EQ(a.scored_groups[i].score, b.scored_groups[i].score) << i;
+  }
+  ASSERT_EQ(a.group_embeddings.rows(), b.group_embeddings.rows());
+  ASSERT_EQ(a.group_embeddings.cols(), b.group_embeddings.cols());
+  EXPECT_EQ(std::memcmp(a.group_embeddings.data(), b.group_embeddings.data(),
+                        a.group_embeddings.rows() *
+                            a.group_embeddings.cols() * sizeof(double)),
+            0);
+}
+
+/// Recovery runs one refresh for the whole WAL tail, at its last refresh
+/// marker, over the dirty marks every earlier marker left behind. The
+/// reference daemon ran every refresh; both must end bitwise equal. The
+/// parameter is whether the snapshot under the tail holds a primed refresh
+/// cache (a refresh ran before it) or an unprimed one.
+class MultiRefreshRecoveryTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(MultiRefreshRecoveryTest, OneRefreshPerTailMatchesEveryRefresh) {
+  const bool primed = GetParam();
+  const TpGrGadOptions pipeline = LocalRefreshOptions();
+  const fs::path dir = TempDir(primed ? "multi_primed" : "multi_unprimed");
+  const auto e = SpreadAnchorPairs(6);
+  ASSERT_EQ(e.size(), 6u);
+  std::vector<std::string> before_snapshot = {
+      EdgeOp(1, true, e[0].first, e[0].second)};
+  if (primed) {
+    before_snapshot.push_back(R"({"id": 2, "op": "refresh", "top": 3})");
+  }
+  // Refresh markers between edge toggles, then a compaction and a last
+  // marker with no mutation since the one before it (so the earlier
+  // windows' marks are all it has to resample), and two mutations after
+  // it whose marks must stay pending.
+  const std::vector<std::string> tail = {
+      EdgeOp(10, true, e[1].first, e[1].second),
+      EdgeOp(11, true, e[2].first, e[2].second),
+      R"({"id": 12, "op": "refresh", "top": 3})",
+      EdgeOp(13, false, e[1].first, e[1].second),
+      EdgeOp(14, true, e[3].first, e[3].second),
+      R"({"id": 15, "op": "refresh", "top": 3})",
+      EdgeOp(16, true, e[4].first, e[4].second),
+      EdgeOp(17, false, e[0].first, e[0].second),
+      R"({"id": 18, "op": "refresh", "top": 3})",
+      R"({"id": 19, "op": "compact"})",
+      R"({"id": 20, "op": "refresh", "top": 3})",
+      EdgeOp(21, true, e[5].first, e[5].second),
+      EdgeOp(22, false, e[2].first, e[2].second),
+  };
+
+  auto reference = MakeReferenceDaemon(pipeline);
+  std::vector<std::string> expected;
+  for (const std::string& op : before_snapshot) {
+    expected.push_back(Exec(reference.get(), op));
+  }
+  for (const std::string& op : tail) {
+    expected.push_back(Exec(reference.get(), op));
+  }
+  // The configuration is local: the tail's second refresh, incremental in
+  // both cases, reuses anchors.
+  const std::string& second_refresh = expected[before_snapshot.size() + 5];
+  EXPECT_EQ(second_refresh.find("\"reused_anchors\": 0,"), std::string::npos)
+      << second_refresh;
+
+  {
+    Recovered live = Recover(dir.string(), pipeline);
+    std::vector<std::string> responses;
+    for (const std::string& op : before_snapshot) {
+      responses.push_back(Exec(live.daemon.get(), op));
+    }
+    ASSERT_TRUE(live.daemon->SnapshotNow().ok());
+    for (const std::string& op : tail) {
+      responses.push_back(Exec(live.daemon.get(), op));
+    }
+    EXPECT_EQ(responses, expected);
+  }  // Dies with the whole tail unsnapshotted.
+
+  Recovered restarted = Recover(dir.string(), pipeline);
+  ASSERT_NE(restarted.snapshot, nullptr);
+  EXPECT_EQ(restarted.snapshot->state.refresh_primed, primed);
+  EXPECT_NE(restarted.daemon->MetricsJson().find(
+                "\"replayed_records\": " + std::to_string(tail.size())),
+            std::string::npos)
+      << restarted.daemon->MetricsJson();
+  EXPECT_EQ(restarted.daemon->dynamic_graph().num_edges(),
+            reference->dynamic_graph().num_edges());
+  ExpectArtifactsBitwise(restarted.daemon->artifacts(), reference->artifacts());
+  EXPECT_EQ(Probe(restarted.daemon.get()), Probe(reference.get()));
+}
+
+INSTANTIATE_TEST_SUITE_P(SnapshotCache, MultiRefreshRecoveryTest,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Primed" : "Unprimed";
+                         });
 
 }  // namespace
 }  // namespace grgad

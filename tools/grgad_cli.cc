@@ -630,33 +630,13 @@ int CmdServe(const Args& args) {
   // that response, never kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
 
-  DatasetOptions data_options;
-  data_options.seed = args.data_seed;
-  data_options.scale = args.scale;
-  data_options.attr_dim = args.attr_dim;
-  Retryer dataset_retryer{RetryPolicy{}};
-  auto dataset = dataset_retryer.RunResult<Dataset>(
-      [&] { return MakeDataset(args.dataset, data_options); });
-  if (!dataset.ok()) return FailWith(args, "serve", dataset.status());
-  const Dataset& d = dataset.value();
-
-  std::vector<std::string> overrides = args.overrides;
-  if (!args.detector.empty()) {
-    overrides.push_back("detector=" + args.detector);
-  }
-  auto options = BuildTpGrGadOptions(args.seed, overrides);
-  if (!options.ok()) return FailWith(args, "serve", options.status());
-
-  // Startup stop plumbing: a SIGTERM during the (possibly long) initial
-  // training unwinds exactly like `grgad run` — cooperatively, exit 130.
-  RunContext startup_ctx;
-  *GlobalCancelToken() = startup_ctx.cancel_token();
-  HookStopSignals(true);
-
-  // Durable restart: a committed snapshot under --state-dir supersedes both
-  // --in and training — the daemon resumes from the mutated graph + resident
-  // artifacts it last persisted (plus the WAL tail, replayed after
-  // construction). `snapshot` must outlive `daemon`, which borrows its graph.
+  // Durable restart: a committed snapshot under --state-dir supersedes
+  // --dataset's generator, --in and training — the daemon resumes from the
+  // mutated graph + resident artifacts it last persisted (plus the WAL tail,
+  // replayed after construction), so the dataset is built only when no
+  // snapshot exists. A state dir holding only a WAL still replays over the
+  // generated base graph. `snapshot` must outlive `daemon`, which borrows
+  // its graph.
   std::unique_ptr<LoadedServeSnapshot> snapshot;
   if (!args.state_dir.empty()) {
     auto loaded = LoadServeSnapshot(args.state_dir);
@@ -674,10 +654,35 @@ int CmdServe(const Args& args) {
     } else if (loaded.status().code() != StatusCode::kNotFound) {
       // A torn or corrupt snapshot is typed DataLoss — refuse to serve from
       // it rather than silently retraining over surviving durable state.
-      HookStopSignals(false);
       return FailWith(args, "serve", loaded.status());
     }
   }
+
+  Dataset d;
+  if (snapshot == nullptr) {
+    DatasetOptions data_options;
+    data_options.seed = args.data_seed;
+    data_options.scale = args.scale;
+    data_options.attr_dim = args.attr_dim;
+    Retryer dataset_retryer{RetryPolicy{}};
+    auto dataset = dataset_retryer.RunResult<Dataset>(
+        [&] { return MakeDataset(args.dataset, data_options); });
+    if (!dataset.ok()) return FailWith(args, "serve", dataset.status());
+    d = std::move(dataset).value();
+  }
+
+  std::vector<std::string> overrides = args.overrides;
+  if (!args.detector.empty()) {
+    overrides.push_back("detector=" + args.detector);
+  }
+  auto options = BuildTpGrGadOptions(args.seed, overrides);
+  if (!options.ok()) return FailWith(args, "serve", options.status());
+
+  // Startup stop plumbing: a SIGTERM during the (possibly long) initial
+  // training unwinds exactly like `grgad run` — cooperatively, exit 130.
+  RunContext startup_ctx;
+  *GlobalCancelToken() = startup_ctx.cancel_token();
+  HookStopSignals(true);
 
   PipelineArtifacts artifacts;
   if (snapshot != nullptr) {
