@@ -1,26 +1,21 @@
 #include "src/core/artifacts.h"
 
-#include "src/core/options.h"
+#include <climits>
+#include <filesystem>
+#include <string_view>
+#include <utility>
+
 #include "src/util/atomic_io.h"
 #include "src/util/retry.h"
-
-#include <cerrno>
-#include <climits>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <map>
-#include <sstream>
-#include <utility>
 
 namespace grgad {
 namespace {
 
-// v2 adds per-file byte counts + FNV-1a 64 checksums and per-field element
-// counts to the manifest, so Load can reject truncation, bit-flips, and
-// missing files up front. v1 directories (no checksums) still load.
-constexpr int kFormatVersion = 2;
-constexpr int kLegacyVersion = 1;
+// v2 records per-file byte counts + FNV-1a 64 checksums and per-field
+// element counts in the manifest, so Load rejects truncation, bit-flips,
+// and missing files up front, and cross-checks every parsed count.
+constexpr const char* kVersionKey = "grgad_artifacts_version";
+constexpr const char* kFormatVersion = "2";
 constexpr const char* kManifestFile = "manifest.txt";
 
 std::string JoinInts(const std::vector<int>& v) {
@@ -41,39 +36,54 @@ std::string SerializeDoubles(const std::vector<double>& v) {
   return content;
 }
 
+/// Every token of `text` as an int. Strict: a token that is not a complete
+/// integer within int range is an error, never a silent end of the list.
+Result<std::vector<int>> ParseInts(std::string_view text,
+                                   const std::string& path) {
+  TokenScanner in(text);
+  std::vector<int> out;
+  while (!in.AtEnd()) {
+    long long x = 0;
+    if (!in.I64(&x) || x < INT_MIN || x > INT_MAX) {
+      return Status::InvalidArgument("bad integer in " + path);
+    }
+    out.push_back(static_cast<int>(x));
+  }
+  return out;
+}
+
 Result<std::vector<double>> ParseDoubles(const std::string& content,
                                          const std::string& path) {
-  std::istringstream in(content);
+  TokenScanner in(content);
   std::vector<double> out;
-  std::string token;
-  while (in >> token) {
-    errno = 0;
-    char* end = nullptr;
-    const double x = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      return Status::InvalidArgument("bad double '" + token + "' in " + path);
-    }
+  while (!in.AtEnd()) {
+    double x = 0.0;
+    if (!in.F64(&x)) return Status::InvalidArgument("bad double in " + path);
     out.push_back(x);
   }
   return out;
 }
 
-Result<std::vector<int>> ParseInts(const std::string& line,
-                                   const std::string& path) {
-  std::istringstream in(line);
-  std::vector<int> out;
-  std::string token;
-  while (in >> token) {
-    errno = 0;
-    char* end = nullptr;
-    const long long x = std::strtoll(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || errno == ERANGE ||
-        x < INT_MIN || x > INT_MAX) {
-      return Status::InvalidArgument("bad integer '" + token + "' in " + path);
-    }
-    out.push_back(static_cast<int>(x));
+/// The leading count line of a line-oriented file: one non-negative int.
+Result<long long> ParseCountLine(TokenScanner* lines, const std::string& path) {
+  std::string_view line;
+  if (!lines->Line(&line)) {
+    return Status::InvalidArgument("missing count line in " + path);
   }
-  return out;
+  TokenScanner row(line);
+  long long count = 0;
+  if (!row.I64(&count) || count < 0 || !row.AtEnd()) {
+    return Status::InvalidArgument("bad count line in " + path);
+  }
+  return count;
+}
+
+Status TrailingLines(TokenScanner* lines, const std::string& path) {
+  std::string_view line;
+  if (lines->Line(&line)) {
+    return Status::InvalidArgument("trailing data in " + path);
+  }
+  return Status::Ok();
 }
 
 // One group per line; a leading count line distinguishes "no groups" from
@@ -89,27 +99,22 @@ std::string SerializeGroupLines(const std::vector<std::vector<int>>& groups) {
 
 Result<std::vector<std::vector<int>>> ParseGroupLines(
     const std::string& content, const std::string& path) {
-  std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("missing count line in " + path);
-  }
-  auto count = ParseInts(line, path);
+  TokenScanner lines(content);
+  auto count = ParseCountLine(&lines, path);
   if (!count.ok()) return count.status();
-  if (count.value().size() != 1 || count.value()[0] < 0) {
-    return Status::InvalidArgument("bad count line in " + path);
-  }
   // No reserve: an absurd count line fails on the missing rows below
   // instead of attempting a giant allocation.
   std::vector<std::vector<int>> groups;
-  for (int i = 0; i < count.value()[0]; ++i) {
-    if (!std::getline(in, line)) {
+  std::string_view line;
+  for (long long i = 0; i < count.value(); ++i) {
+    if (!lines.Line(&line)) {
       return Status::InvalidArgument("truncated group file " + path);
     }
     auto group = ParseInts(line, path);
     if (!group.ok()) return group.status();
     groups.push_back(std::move(group).value());
   }
+  GRGAD_RETURN_IF_ERROR(TrailingLines(&lines, path));
   return groups;
 }
 
@@ -128,9 +133,9 @@ std::string SerializeMatrix(const Matrix& m) {
 
 Result<Matrix> ParseMatrix(const std::string& content,
                            const std::string& path) {
-  std::istringstream in(content);
+  TokenScanner in(content);
   long long rows = 0, cols = 0;
-  if (!(in >> rows >> cols)) {
+  if (!in.I64(&rows) || !in.I64(&cols)) {
     return Status::InvalidArgument("missing dims line in " + path);
   }
   // Guard the allocation: dims come from an untrusted file.
@@ -142,18 +147,13 @@ Result<Matrix> ParseMatrix(const std::string& content,
   Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
   for (size_t i = 0; i < m.rows(); ++i) {
     for (size_t j = 0; j < m.cols(); ++j) {
-      std::string token;
-      if (!(in >> token)) {
-        return Status::InvalidArgument("truncated matrix file " + path);
-      }
-      char* end = nullptr;
-      m(i, j) = std::strtod(token.c_str(), &end);
-      if (end == token.c_str() || *end != '\0') {
-        return Status::InvalidArgument("bad double '" + token + "' in " +
+      if (!in.F64(&m(i, j))) {
+        return Status::InvalidArgument("truncated or bad matrix value in " +
                                        path);
       }
     }
   }
+  if (!in.AtEnd()) return Status::InvalidArgument("trailing data in " + path);
   return m;
 }
 
@@ -174,38 +174,26 @@ std::string SerializeScoredGroups(const std::vector<ScoredGroup>& groups) {
 
 Result<std::vector<ScoredGroup>> ParseScoredGroups(const std::string& content,
                                                    const std::string& path) {
-  std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("missing count line in " + path);
-  }
-  auto count_line = ParseInts(line, path);
-  if (!count_line.ok()) return count_line.status();
-  if (count_line.value().size() != 1 || count_line.value()[0] < 0) {
-    return Status::InvalidArgument("bad count line in " + path);
-  }
-  const int count = count_line.value()[0];
+  TokenScanner lines(content);
+  auto count = ParseCountLine(&lines, path);
+  if (!count.ok()) return count.status();
   std::vector<ScoredGroup> out;
-  for (int i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) {
+  std::string_view line;
+  for (long long i = 0; i < count.value(); ++i) {
+    if (!lines.Line(&line)) {
       return Status::InvalidArgument("truncated scored-group file " + path);
     }
-    std::istringstream row(line);
+    TokenScanner row(line);
     ScoredGroup sg;
-    std::string score_token;
-    if (!(row >> score_token)) {
-      return Status::InvalidArgument("empty scored-group row in " + path);
+    if (!row.F64(&sg.score)) {
+      return Status::InvalidArgument("bad score in " + path);
     }
-    char* end = nullptr;
-    sg.score = std::strtod(score_token.c_str(), &end);
-    if (end == score_token.c_str() || *end != '\0') {
-      return Status::InvalidArgument("bad score '" + score_token + "' in " +
-                                     path);
-    }
-    int v;
-    while (row >> v) sg.nodes.push_back(v);
+    auto nodes = ParseInts(row.Remaining(), path);
+    if (!nodes.ok()) return nodes.status();
+    sg.nodes = std::move(nodes).value();
     out.push_back(std::move(sg));
   }
+  GRGAD_RETURN_IF_ERROR(TrailingLines(&lines, path));
   return out;
 }
 
@@ -213,106 +201,23 @@ std::string PathIn(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
 }
 
-/// The artifact payload files, serialized, in manifest order.
-std::vector<std::pair<std::string, std::string>> SerializeFiles(
-    const PipelineArtifacts& artifacts) {
-  std::vector<std::pair<std::string, std::string>> files;
-  files.emplace_back("anchors.txt", JoinInts(artifacts.anchors) + "\n");
-  files.emplace_back("groups.txt",
-                     SerializeGroupLines(artifacts.candidate_groups));
-  files.emplace_back("embeddings.txt",
-                     SerializeMatrix(artifacts.group_embeddings));
-  files.emplace_back("scores.txt", SerializeDoubles(artifacts.group_scores));
-  // Scored groups are stored on their own (not rebuilt from groups+scores):
-  // partial runs legitimately have scored_groups without group_scores.
-  files.emplace_back("scored_groups.txt",
-                     SerializeScoredGroups(artifacts.scored_groups));
-  files.emplace_back("node_errors.txt",
-                     SerializeDoubles(artifacts.gae_node_errors));
-  files.emplace_back("tpgcl_loss.txt",
-                     SerializeDoubles(artifacts.tpgcl_loss_history));
-  return files;
+size_t Count(const Matrix& m) { return m.rows(); }
+template <typename T>
+size_t Count(const std::vector<T>& v) {
+  return v.size();
 }
 
-struct ManifestInfo {
-  int version = -1;
-  uint64_t seed = 42;
-  /// Element counts + dims declared at save time (num_anchors, num_groups,
-  /// embedding_rows, embedding_dim, ...). Load cross-checks the parsed
-  /// fields against whichever keys are present.
-  std::map<std::string, long long> counts;
-  struct FileEntry {
-    std::string name;
-    uint64_t bytes = 0;
-    uint64_t checksum = 0;
-  };
-  std::vector<FileEntry> files;  ///< v2 only (empty for v1).
-};
-
-Result<ManifestInfo> ParseManifest(const std::string& content,
-                                   const std::string& path) {
-  ManifestInfo m;
-  std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("empty manifest " + path);
+/// Cross-check of one parsed field's element count against the count the
+/// manifest declares; a manifest without the key is damaged.
+Status CheckCount(const ManifestDir& m, const char* key, size_t actual,
+                  const std::string& path) {
+  const std::string* declared = m.Header(key);
+  if (declared == nullptr) {
+    return Status::DataLoss(path + ": manifest declares no " + key);
   }
-  {
-    std::istringstream header(line);
-    std::string key;
-    if (!(header >> key >> m.version) || key != "grgad_artifacts_version") {
-      return Status::InvalidArgument("malformed manifest " + path);
-    }
-  }
-  if (m.version != kFormatVersion && m.version != kLegacyVersion) {
-    return Status::InvalidArgument("unsupported artifact version " +
-                                   std::to_string(m.version) + " in " + path);
-  }
-  while (std::getline(in, line)) {
-    std::istringstream row(line);
-    std::string key;
-    if (!(row >> key)) continue;  // Blank line.
-    if (key == "seed") {
-      std::string value;
-      if (!(row >> value) || !ParseUint64Text(value, &m.seed)) {
-        return Status::InvalidArgument("bad seed in " + path);
-      }
-    } else if (key == "file") {
-      ManifestInfo::FileEntry entry;
-      std::string bytes_token, sum_token;
-      if (!(row >> entry.name >> bytes_token >> sum_token)) {
-        return Status::InvalidArgument("malformed file entry '" + line +
-                                       "' in " + path);
-      }
-      if (!ParseUint64Text(bytes_token, &entry.bytes)) {
-        return Status::InvalidArgument("bad file size '" + bytes_token +
-                                       "' in " + path);
-      }
-      errno = 0;
-      char* end = nullptr;
-      entry.checksum = std::strtoull(sum_token.c_str(), &end, 16);
-      if (end == sum_token.c_str() || *end != '\0' || errno == ERANGE) {
-        return Status::InvalidArgument("bad checksum '" + sum_token + "' in " +
-                                       path);
-      }
-      m.files.push_back(std::move(entry));
-    } else {
-      long long value = 0;
-      if (row >> value) m.counts[key] = value;
-      // Unknown non-numeric entries are informational; skip them.
-    }
-  }
-  return m;
-}
-
-/// Cross-check of one parsed field's element count against the manifest's
-/// declared count (skipped when the save predates the key).
-Status CheckCount(const ManifestInfo& m, const std::string& key,
-                  long long actual, const std::string& path) {
-  auto it = m.counts.find(key);
-  if (it == m.counts.end() || it->second == actual) return Status::Ok();
+  if (*declared == std::to_string(actual)) return Status::Ok();
   return Status::DataLoss(path + ": manifest declares " + key + "=" +
-                          std::to_string(it->second) + " but file has " +
+                          *declared + " but file has " +
                           std::to_string(actual));
 }
 
@@ -320,205 +225,92 @@ Status CheckCount(const ManifestInfo& m, const std::string& key,
 
 Status WriteArtifactFiles(const PipelineArtifacts& artifacts,
                           const std::string& dir) {
-  namespace fs = std::filesystem;
-  // Serialize everything up front so the durability window holds no compute.
-  const auto files = SerializeFiles(artifacts);
-  std::string manifest;
-  manifest += "grgad_artifacts_version " + std::to_string(kFormatVersion);
-  manifest += "\nseed " + std::to_string(artifacts.seed);
-  manifest += "\nnum_anchors " + std::to_string(artifacts.anchors.size());
-  manifest +=
-      "\nnum_groups " + std::to_string(artifacts.candidate_groups.size());
-  manifest += "\nembedding_rows " +
-              std::to_string(artifacts.group_embeddings.rows());
-  manifest += "\nembedding_dim " +
-              std::to_string(artifacts.group_embeddings.cols());
-  manifest += "\nnum_scores " + std::to_string(artifacts.group_scores.size());
-  manifest +=
-      "\nnum_scored_groups " + std::to_string(artifacts.scored_groups.size());
-  manifest +=
-      "\nnum_node_errors " + std::to_string(artifacts.gae_node_errors.size());
-  manifest +=
-      "\nnum_loss " + std::to_string(artifacts.tpgcl_loss_history.size());
-  manifest += '\n';
-  for (const auto& [name, content] : files) {
-    manifest += "file " + name + " " + std::to_string(content.size()) + " " +
-                HexU64(Fnv1a64(content)) + "\n";
-  }
-
-  const fs::path base(dir);
-  GRGAD_RETURN_IF_ERROR(WriteTextFile((base / kManifestFile).string(),
-                                      manifest));
-  for (const auto& [name, content] : files) {
-    GRGAD_RETURN_IF_ERROR(WriteTextFile((base / name).string(), content));
-  }
-  GRGAD_RETURN_IF_ERROR(
-      FsyncPath((base / kManifestFile).string(), /*is_dir=*/false));
-  for (const auto& [name, content] : files) {
-    GRGAD_RETURN_IF_ERROR(FsyncPath((base / name).string(),
-                                    /*is_dir=*/false));
-  }
-  return FsyncPath(base.string(), /*is_dir=*/true);
+  using std::to_string;
+  ManifestDir contents;
+  contents.header = {
+      {kVersionKey, kFormatVersion},
+      {"seed", to_string(artifacts.seed)},
+      {"num_anchors", to_string(artifacts.anchors.size())},
+      {"num_groups", to_string(artifacts.candidate_groups.size())},
+      {"embedding_rows", to_string(artifacts.group_embeddings.rows())},
+      {"embedding_dim", to_string(artifacts.group_embeddings.cols())},
+      {"num_scores", to_string(artifacts.group_scores.size())},
+      {"num_scored_groups", to_string(artifacts.scored_groups.size())},
+      {"num_node_errors", to_string(artifacts.gae_node_errors.size())},
+      {"num_loss", to_string(artifacts.tpgcl_loss_history.size())},
+  };
+  contents.files = {
+      {"anchors.txt", JoinInts(artifacts.anchors) + "\n"},
+      {"groups.txt", SerializeGroupLines(artifacts.candidate_groups)},
+      {"embeddings.txt", SerializeMatrix(artifacts.group_embeddings)},
+      {"scores.txt", SerializeDoubles(artifacts.group_scores)},
+      // Scored groups are stored on their own (not rebuilt from
+      // groups+scores): partial runs have scored_groups without scores.
+      {"scored_groups.txt", SerializeScoredGroups(artifacts.scored_groups)},
+      {"node_errors.txt", SerializeDoubles(artifacts.gae_node_errors)},
+      {"tpgcl_loss.txt", SerializeDoubles(artifacts.tpgcl_loss_history)},
+  };
+  return WriteManifestDir(dir, kManifestFile, contents);
 }
 
 Status SaveArtifacts(const PipelineArtifacts& artifacts,
                      const std::string& dir) {
-  namespace fs = std::filesystem;
-  // Atomic replace: stage everything in a sibling tmp dir, make it durable,
-  // then commit with renames. A crash or injected fault at any point leaves
-  // either the previous artifacts or (mid-dance) no directory — never a
-  // torn mixture that parses.
-  const fs::path target(dir);
-  const fs::path tmp(dir + ".tmp");
-  std::error_code ec;
-  fs::remove_all(tmp, ec);  // Stale leftovers from a crashed save.
-  fs::remove_all(fs::path(dir + ".old"), ec);
-  if (target.has_parent_path()) {
-    fs::create_directories(target.parent_path(), ec);
-  }
-  ec.clear();
-  fs::create_directories(tmp, ec);
-  if (ec) {
-    return Status::IoError("cannot create " + tmp.string() + ": " +
-                           ec.message());
-  }
-  if (Status staged = WriteArtifactFiles(artifacts, tmp.string());
-      !staged.ok()) {
-    fs::remove_all(tmp, ec);
-    return staged;
-  }
-  return CommitDirReplace(tmp.string(), dir);
+  return ReplaceDir(dir, [&](const std::string& staging) {
+    return WriteArtifactFiles(artifacts, staging);
+  });
 }
 
 Result<PipelineArtifacts> LoadArtifacts(const std::string& dir) {
-  namespace fs = std::filesystem;
+  auto read = ReadManifestDir(dir, kManifestFile);
+  if (!read.ok()) return read.status();
+  const ManifestDir& m = read.value();
   const std::string manifest_path = PathIn(dir, kManifestFile);
-  if (!fs::exists(manifest_path)) {
-    return Status::NotFound("no artifact manifest at " + manifest_path);
+  const std::string* version = m.Header(kVersionKey);
+  if (version == nullptr) {
+    return Status::DataLoss("no " + std::string(kVersionKey) + " line in " +
+                            manifest_path);
   }
-  auto manifest_content = ReadTextFile(manifest_path);
-  if (!manifest_content.ok()) return manifest_content.status();
-  auto manifest = ParseManifest(manifest_content.value(), manifest_path);
-  if (!manifest.ok()) return manifest.status();
-  const ManifestInfo& m = manifest.value();
-
-  // Integrity sweep before any parsing: every manifest-listed file must be
-  // present, exactly its recorded size, and checksum-clean. Each file is
-  // read once here and parsed from memory below. v1 directories predate
-  // the checksums and skip straight to parsing.
-  std::map<std::string, std::string> contents;
-  for (const auto& entry : m.files) {
-    const std::string path = PathIn(dir, entry.name.c_str());
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-      return Status::DataLoss("missing artifact file " + path);
-    }
-    auto content = ReadTextFile(path);
-    if (!content.ok()) return content.status();
-    if (content.value().size() != entry.bytes) {
-      return Status::DataLoss(
-          "truncated artifact file " + path + ": manifest records " +
-          std::to_string(entry.bytes) + " bytes, found " +
-          std::to_string(content.value().size()));
-    }
-    if (Fnv1a64(content.value()) != entry.checksum) {
-      return Status::DataLoss("checksum mismatch in " + path +
-                              " (corrupt artifact)");
-    }
-    contents[entry.name] = std::move(content).value();
+  if (*version != kFormatVersion) {
+    return Status::InvalidArgument("unsupported artifact version " + *version +
+                                   " in " + manifest_path);
   }
-  const auto get = [&](const char* name) -> Result<std::string> {
-    if (m.version == kLegacyVersion) return ReadTextFile(PathIn(dir, name));
-    auto it = contents.find(name);
-    if (it == contents.end()) {
+  PipelineArtifacts artifacts;
+  const std::string* seed = m.Header("seed");
+  if (seed == nullptr || !TokenScanner(*seed).U64(&artifacts.seed)) {
+    return Status::DataLoss("bad or missing seed in " + manifest_path);
+  }
+  // Each payload parses from its verified bytes; `count_key` cross-checks
+  // the element count the manifest declares for it.
+  const auto load = [&](const char* name, auto parse, auto* field,
+                        const char* count_key) -> Status {
+    const std::string path = PathIn(dir, name);
+    const std::string* bytes = m.File(name);
+    if (bytes == nullptr) {
       return Status::DataLoss("manifest " + manifest_path +
                               " has no file entry for " + name);
     }
-    return it->second;
+    auto parsed = parse(*bytes, path);
+    if (!parsed.ok()) return parsed.status();
+    *field = std::move(parsed).value();
+    return CheckCount(m, count_key, Count(*field), path);
   };
-
-  PipelineArtifacts artifacts;
-  artifacts.seed = m.seed;
-  {
-    const std::string path = PathIn(dir, "anchors.txt");
-    auto content = get("anchors.txt");
-    if (!content.ok()) return content.status();
-    auto anchors = ParseInts(content.value(), path);
-    if (!anchors.ok()) return anchors.status();
-    artifacts.anchors = std::move(anchors).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_anchors", static_cast<long long>(artifacts.anchors.size()),
-        path));
-  }
-  {
-    const std::string path = PathIn(dir, "groups.txt");
-    auto content = get("groups.txt");
-    if (!content.ok()) return content.status();
-    auto groups = ParseGroupLines(content.value(), path);
-    if (!groups.ok()) return groups.status();
-    artifacts.candidate_groups = std::move(groups).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_groups",
-        static_cast<long long>(artifacts.candidate_groups.size()), path));
-  }
-  {
-    const std::string path = PathIn(dir, "embeddings.txt");
-    auto content = get("embeddings.txt");
-    if (!content.ok()) return content.status();
-    auto matrix = ParseMatrix(content.value(), path);
-    if (!matrix.ok()) return matrix.status();
-    artifacts.group_embeddings = std::move(matrix).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "embedding_rows",
-        static_cast<long long>(artifacts.group_embeddings.rows()), path));
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "embedding_dim",
-        static_cast<long long>(artifacts.group_embeddings.cols()), path));
-  }
-  {
-    const std::string path = PathIn(dir, "scores.txt");
-    auto content = get("scores.txt");
-    if (!content.ok()) return content.status();
-    auto scores = ParseDoubles(content.value(), path);
-    if (!scores.ok()) return scores.status();
-    artifacts.group_scores = std::move(scores).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_scores",
-        static_cast<long long>(artifacts.group_scores.size()), path));
-  }
-  {
-    const std::string path = PathIn(dir, "scored_groups.txt");
-    auto content = get("scored_groups.txt");
-    if (!content.ok()) return content.status();
-    auto scored = ParseScoredGroups(content.value(), path);
-    if (!scored.ok()) return scored.status();
-    artifacts.scored_groups = std::move(scored).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_scored_groups",
-        static_cast<long long>(artifacts.scored_groups.size()), path));
-  }
-  {
-    const std::string path = PathIn(dir, "node_errors.txt");
-    auto content = get("node_errors.txt");
-    if (!content.ok()) return content.status();
-    auto errors = ParseDoubles(content.value(), path);
-    if (!errors.ok()) return errors.status();
-    artifacts.gae_node_errors = std::move(errors).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_node_errors",
-        static_cast<long long>(artifacts.gae_node_errors.size()), path));
-  }
-  {
-    const std::string path = PathIn(dir, "tpgcl_loss.txt");
-    auto content = get("tpgcl_loss.txt");
-    if (!content.ok()) return content.status();
-    auto loss = ParseDoubles(content.value(), path);
-    if (!loss.ok()) return loss.status();
-    artifacts.tpgcl_loss_history = std::move(loss).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_loss",
-        static_cast<long long>(artifacts.tpgcl_loss_history.size()), path));
-  }
+  GRGAD_RETURN_IF_ERROR(
+      load("anchors.txt", ParseInts, &artifacts.anchors, "num_anchors"));
+  GRGAD_RETURN_IF_ERROR(load("groups.txt", ParseGroupLines,
+                             &artifacts.candidate_groups, "num_groups"));
+  GRGAD_RETURN_IF_ERROR(load("embeddings.txt", ParseMatrix,
+                             &artifacts.group_embeddings, "embedding_rows"));
+  GRGAD_RETURN_IF_ERROR(CheckCount(m, "embedding_dim",
+                                   artifacts.group_embeddings.cols(),
+                                   PathIn(dir, "embeddings.txt")));
+  GRGAD_RETURN_IF_ERROR(load("scores.txt", ParseDoubles,
+                             &artifacts.group_scores, "num_scores"));
+  GRGAD_RETURN_IF_ERROR(load("scored_groups.txt", ParseScoredGroups,
+                             &artifacts.scored_groups, "num_scored_groups"));
+  GRGAD_RETURN_IF_ERROR(load("node_errors.txt", ParseDoubles,
+                             &artifacts.gae_node_errors, "num_node_errors"));
+  GRGAD_RETURN_IF_ERROR(load("tpgcl_loss.txt", ParseDoubles,
+                             &artifacts.tpgcl_loss_history, "num_loss"));
   return artifacts;
 }
 

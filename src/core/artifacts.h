@@ -33,28 +33,30 @@ struct PipelineArtifacts {
   std::vector<double> tpgcl_loss_history;
 };
 
-/// Writes `artifacts` under `dir` atomically: everything is staged in a
-/// sibling `<dir>.tmp`, fsynced, then committed by rename, replacing any
-/// previous artifacts. On ANY failure the previous contents of `dir` are
-/// left intact (a hard crash between the commit renames can leave `dir`
-/// absent — NotFound on load, never a torn mixture). The manifest records
-/// per-file sizes and FNV-1a checksums so Load can verify integrity.
+/// Writes `artifacts` under `dir` atomically (ReplaceDir in
+/// src/util/atomic_io.h): staged in a sibling `<dir>.tmp`, fsynced, then
+/// committed by rename, replacing any previous artifacts. On ANY failure
+/// the previous contents of `dir` are left intact (a hard crash between the
+/// commit renames can leave `dir` absent — NotFound on load, never a torn
+/// mixture). The manifest records per-file sizes and FNV-1a checksums plus
+/// every field's element count.
 Status SaveArtifacts(const PipelineArtifacts& artifacts,
                      const std::string& dir);
 
-/// Writes the artifact file set (manifest + payload files) directly into the
-/// EXISTING directory `dir` and fsyncs each file plus the directory, with no
-/// staging or rename commit of its own. Building block for composite
-/// snapshots that stage several stores in one tmp directory and publish them
-/// with a single CommitDirReplace; SaveArtifacts is this plus the dance.
+/// Writes the artifact manifest directory (manifest.txt + payload files)
+/// into `dir` with no staging or commit of its own: the building block for
+/// composite snapshots that publish several stores in one ReplaceDir.
+/// SaveArtifacts is this inside ReplaceDir.
 Status WriteArtifactFiles(const PipelineArtifacts& artifacts,
                           const std::string& dir);
 
 /// Loads a directory written by SaveArtifacts. Fails with NotFound when no
-/// manifest is present, DataLoss when a file is missing, truncated,
-/// checksum-corrupt, or disagrees with the manifest's recorded counts/dims
-/// (v2 directories), and IoError/InvalidArgument on unreadable or malformed
-/// files. The result compares field-for-field identical to what was saved.
+/// manifest is present; DataLoss when the manifest is malformed or lacks a
+/// count, or a file is missing, truncated, checksum-corrupt, or disagrees
+/// with its declared count/dims; InvalidArgument on an unsupported version
+/// or a checksum-clean file that does not parse completely; IoError on
+/// unreadable files. The result compares field-for-field identical to what
+/// was saved.
 Result<PipelineArtifacts> LoadArtifacts(const std::string& dir);
 
 /// Retry predicate for LoadArtifacts under concurrent writers: transient

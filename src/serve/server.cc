@@ -74,6 +74,18 @@ bool ServeDaemon::ApplyEdgeMutation(bool add, int u, int v, int* fanout) {
   return dynamic_.RemoveEdge(u, v);
 }
 
+Status ServeDaemon::RefreshDirty(RunContext* ctx, RefreshStats* stats) {
+  const std::vector<int> dirty = tracker_.TakeDirtyIndices();
+  Status status = RefreshArtifacts(dynamic_.PackedView(), options_.pipeline,
+                                   dirty, &refresh_state_, &artifacts_, ctx,
+                                   stats);
+  // The marks were consumed but the refresh never landed; re-mark
+  // everything so the next refresh retries from scratch (RefreshArtifacts
+  // already unprimed its cache).
+  if (!status.ok()) tracker_.MarkAll();
+  return status;
+}
+
 Status ServeDaemon::ReplayWalRecord(const WalRecord& record) {
   switch (record.kind) {
     case WalRecord::Kind::kMutation: {
@@ -88,14 +100,8 @@ Status ServeDaemon::ReplayWalRecord(const WalRecord& record) {
                         &fanout);
       return Status::Ok();
     }
-    case WalRecord::Kind::kRefresh: {
-      const std::vector<int> dirty = tracker_.TakeDirtyIndices();
-      Status status = RefreshArtifacts(dynamic_.PackedView(),
-                                       options_.pipeline, dirty,
-                                       &refresh_state_, &artifacts_);
-      if (!status.ok()) tracker_.MarkAll();
-      return status;
-    }
+    case WalRecord::Kind::kRefresh:
+      return RefreshDirty(/*ctx=*/nullptr, /*stats=*/nullptr);
     case WalRecord::Kind::kCompact: {
       dynamic_.Compact();
       return Status::Ok();
@@ -315,7 +321,6 @@ void ServeDaemon::ExecuteLoop(RequestQueue* queue, LineChannel* channel) {
 std::string ServeDaemon::Execute(const ServeRequest& request,
                                  Status* status_out,
                                  std::vector<StageTiming>* timings_out) {
-  Status status = Status::Ok();
   std::string response;
   RunContext ctx;
   // Sub-stage telemetry is free detail for the metrics timeline; it never
@@ -326,20 +331,16 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
                              : options_.default_timeout_seconds;
   if (timeout > 0.0) ctx.SetDeadlineAfter(timeout);
 
-  if (Status fault =
-          FaultInjector::Global().Check("serve/execute", StatusCode::kInternal);
-      !fault.ok()) {
-    status = fault;
-    response = RenderErrorResponse(request.id, request.op, fault);
-  } else {
+  // Every branch either renders its success response or leaves a non-OK
+  // `status`, rendered once after the switch.
+  Status status =
+      FaultInjector::Global().Check("serve/execute", StatusCode::kInternal);
+  if (status.ok()) {
     switch (request.op) {
       case ServeOp::kAnchorScore: {
         TpGrGadOptions options = options_.pipeline;
         status = ApplyTpGrGadOverrides(&options, request.overrides);
-        if (!status.ok()) {
-          response = RenderErrorResponse(request.id, request.op, status);
-          break;
-        }
+        if (!status.ok()) break;
         // Resident warm state: recycle training buffers across requests.
         // Value-neutral by the arena contract (memory, never values), so
         // responses stay bitwise identical to an arena-less sequential run.
@@ -350,7 +351,6 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         auto result = RunPipeline(dynamic_.PackedView(), options, &ctx);
         if (!result.ok()) {
           status = result.status();
-          response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
         response =
@@ -362,7 +362,6 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         if (!ParseDetectorKind(request.detector, &kind)) {
           status = Status::InvalidArgument("unknown detector '" +
                                            request.detector + "'");
-          response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
         const uint64_t seed =
@@ -370,7 +369,6 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         auto result = RescoreArtifacts(artifacts_, kind, seed, &ctx);
         if (!result.ok()) {
           status = result.status();
-          response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
         response = RenderScoredGroupsResponse(
@@ -383,7 +381,6 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
             !ParseDetectorKind(request.detector, &kind)) {
           status = Status::InvalidArgument("unknown detector '" +
                                            request.detector + "'");
-          response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
         // Filter resident candidate groups (sorted node lists) and slice
@@ -407,7 +404,6 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         if (groups.empty()) {
           status = Status::FailedPrecondition(
               "what-if: no resident groups match the filter");
-          response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
         Matrix subset(groups.size(), artifacts_.group_embeddings.cols());
@@ -422,7 +418,6 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         auto result = RunScoringStage(subset, groups, options, &ctx);
         if (!result.ok()) {
           status = result.status();
-          response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
         response = RenderScoredGroupsResponse(
@@ -475,7 +470,6 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
               dynamic_.AddEdge(m.u, m.v);
             }
             metrics_.RecordDurabilityError(status);
-            response = RenderErrorResponse(request.id, request.op, status);
             break;
           }
           metrics_.RecordWalAppend(
@@ -492,19 +486,9 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         break;
       }
       case ServeOp::kRefresh: {
-        const std::vector<int> dirty = tracker_.TakeDirtyIndices();
         RefreshStats rstats;
-        status = RefreshArtifacts(dynamic_.PackedView(), options_.pipeline,
-                                  dirty, &refresh_state_, &artifacts_, &ctx,
-                                  &rstats);
-        if (!status.ok()) {
-          // The dirty marks were consumed but the refresh never landed;
-          // re-mark everything so the next refresh retries from scratch
-          // (RefreshArtifacts already unprimed its cache).
-          tracker_.MarkAll();
-          response = RenderErrorResponse(request.id, request.op, status);
-          break;
-        }
+        status = RefreshDirty(&ctx, &rstats);
+        if (!status.ok()) break;
         if (wal_ != nullptr) {
           // The refresh consumed the dirty marks and rewrote the resident
           // artifacts; the control record lets replay re-run it at exactly
@@ -517,7 +501,6 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
             tracker_.MarkAll();
             refresh_state_.primed = false;
             metrics_.RecordDurabilityError(status);
-            response = RenderErrorResponse(request.id, request.op, status);
             break;
           }
         }
@@ -537,7 +520,6 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
           status = wal_->Append(WalRecord::Kind::kCompact);
           if (!status.ok()) {
             metrics_.RecordDurabilityError(status);
-            response = RenderErrorResponse(request.id, request.op, status);
             break;
           }
         }
@@ -551,13 +533,11 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         if (wal_ == nullptr) {
           status = Status::FailedPrecondition(
               "sync requires a daemon started with --state-dir");
-          response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
         status = wal_->Sync();
         if (!status.ok()) {
           metrics_.RecordDurabilityError(status);
-          response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
         metrics_.RecordWalSync();
@@ -568,13 +548,15 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         status = SnapshotNow();
         if (!status.ok()) {
           if (wal_ != nullptr) metrics_.RecordDurabilityError(status);
-          response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
         response = RenderSnapshotResponse(request.id, wal_->last_seq());
         break;
       }
     }
+  }
+  if (!status.ok()) {
+    response = RenderErrorResponse(request.id, request.op, status);
   }
 
   if (status_out != nullptr) *status_out = status;

@@ -141,6 +141,11 @@ class ServeDaemon {
   /// WAL replay go through, which is what makes recovery bitwise faithful.
   bool ApplyEdgeMutation(bool add, int u, int v, int* fanout);
 
+  /// Takes the dirty anchor marks and resamples them into the resident
+  /// artifacts (the `refresh` op and WAL replay's refresh marker). On
+  /// failure every anchor is re-marked.
+  Status RefreshDirty(RunContext* ctx, RefreshStats* stats);
+
   /// Replays one recovered WAL record through the live code paths.
   Status ReplayWalRecord(const WalRecord& record);
 

@@ -14,8 +14,9 @@
 //    valid prefix always replays.
 //  - SaveServeSnapshot persists the full serving state (canonical packed
 //    CSR, resident PipelineArtifacts, dirty-tracker marks, refresh cache,
-//    WAL high-water mark) atomically under <state_dir>/snapshot, after
-//    which the replayed WAL prefix can be truncated.
+//    WAL high-water mark) atomically under <state_dir>/snapshot, through
+//    the same checksummed directory store as SaveArtifacts, after which
+//    the replayed WAL prefix can be truncated.
 //  - LoadServeSnapshot + WAL replay through the daemon's own
 //    apply/mark/refresh path restart a killed daemon bitwise identical
 //    (response bytes and artifact doubles) to one that never crashed.
@@ -139,13 +140,13 @@ struct LoadedServeSnapshot {
   uint64_t wal_seq = 0;  ///< Highest WAL seq folded into this snapshot.
 };
 
-/// Atomically replaces <state_dir>/snapshot with the given state: staged in
-/// a sibling tmp directory (graph.txt, serve_state.txt, artifacts/ via
-/// WriteArtifactFiles, snapshot.txt manifest with sizes + checksums),
-/// fsynced, committed with CommitDirReplace. Fault point "snapshot/mid"
-/// fires inside staging — in crash mode the torn tmp directory is simply
-/// discarded by the next Open/Save. On ANY failure the previous snapshot
-/// is left intact.
+/// Atomically replaces <state_dir>/snapshot with the given state through
+/// ReplaceDir (src/util/atomic_io.h): a manifest directory (snapshot.txt
+/// listing graph.txt and serve_state.txt with sizes + checksums) holding
+/// the artifact store's own manifest directory under artifacts/. Fault
+/// point "snapshot/mid" fires inside staging — in crash mode the torn
+/// staging directory is simply discarded by the next save. On ANY failure
+/// the previous snapshot is left intact.
 Status SaveServeSnapshot(const std::string& state_dir, const Graph& graph,
                          const PipelineArtifacts& artifacts,
                          const ServeStateSnapshot& state, uint64_t wal_seq);

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "src/util/fault.h"
 
@@ -79,25 +78,23 @@ Status FsyncPath(const std::string& path, bool is_dir) {
   return Status::Ok();
 }
 
+namespace {
+
+/// The rename dance behind ReplaceDir (see atomic_io.h); a failed second
+/// rename restores the previous `target`.
 Status CommitDirReplace(const std::string& tmp, const std::string& target) {
   namespace fs = std::filesystem;
   const fs::path target_path(target);
   const fs::path tmp_path(tmp);
   const fs::path old(target + ".old");
+  GRGAD_RETURN_IF_ERROR(FaultInjector::Global().Check("artifact/rename"));
   std::error_code ec;
-  if (Status fault = FaultInjector::Global().Check("artifact/rename");
-      !fault.ok()) {
-    fs::remove_all(tmp_path, ec);
-    return fault;
-  }
   fs::remove_all(old, ec);
   ec.clear();
   const bool had_target = fs::exists(target_path);
   if (had_target) {
     fs::rename(target_path, old, ec);
     if (ec) {
-      std::error_code cleanup;
-      fs::remove_all(tmp_path, cleanup);
       return Status::IoError("cannot move aside " + target + ": " +
                              ec.message());
     }
@@ -106,7 +103,6 @@ Status CommitDirReplace(const std::string& tmp, const std::string& target) {
   if (ec) {
     std::error_code restore;
     if (had_target) fs::rename(old, target_path, restore);
-    fs::remove_all(tmp_path, restore);
     return Status::IoError("cannot commit " + tmp + " -> " + target + ": " +
                            ec.message());
   }
@@ -124,6 +120,157 @@ Status CommitDirReplace(const std::string& tmp, const std::string& target) {
   return Status::Ok();
 }
 
+Status ManifestDamage(const std::string& path, const std::string& what) {
+  return Status::DataLoss("malformed manifest " + path + ": " + what);
+}
+
+/// One `file` line of a manifest.
+struct ListedFile {
+  std::string name;
+  long long bytes = 0;
+  uint64_t checksum = 0;
+};
+
+/// Strict manifest grammar: every line is `<key> <value>` or
+/// `file <name> <bytes> <16-hex>`; keys and names are unique, and a name
+/// never leaves its directory.
+Status ParseManifest(const std::string& text, const std::string& path,
+                     ManifestDir* out, std::vector<ListedFile>* listed) {
+  TokenScanner lines(text);
+  std::string_view line;
+  while (lines.Line(&line)) {
+    TokenScanner row(line);
+    std::string_view key, value;
+    if (!row.Token(&key) || !row.Token(&value)) {
+      return ManifestDamage(path, "short line '" + std::string(line) + "'");
+    }
+    if (key == "file") {
+      ListedFile file{std::string(value)};
+      if (!row.I64(&file.bytes) || file.bytes < 0 ||
+          !row.Hex64(&file.checksum) || !row.AtEnd() ||
+          value.find('/') != std::string_view::npos) {
+        return ManifestDamage(path, "bad file line '" + std::string(line) +
+                                        "'");
+      }
+      for (const ListedFile& seen : *listed) {
+        if (seen.name == file.name) {
+          return ManifestDamage(path, "file " + file.name + " listed twice");
+        }
+      }
+      listed->push_back(std::move(file));
+    } else {
+      if (!row.AtEnd() || out->Header(key) != nullptr) {
+        return ManifestDamage(path, "bad or repeated header line '" +
+                                        std::string(line) + "'");
+      }
+      out->header.emplace_back(key, value);
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+const std::string* ManifestDir::Header(std::string_view key) const {
+  for (const auto& [k, v] : header) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+const std::string* ManifestDir::File(std::string_view name) const {
+  for (const auto& [n, bytes] : files) {
+    if (n == name) return &bytes;
+  }
+  return nullptr;
+}
+
+Status WriteManifestDir(const std::string& dir,
+                        const std::string& manifest_name,
+                        const ManifestDir& contents) {
+  namespace fs = std::filesystem;
+  const fs::path base(dir);
+  std::error_code ec;
+  fs::create_directories(base, ec);
+  if (ec) return Status::IoError("cannot create " + dir + ": " + ec.message());
+  std::string manifest;
+  for (const auto& [key, value] : contents.header) {
+    manifest += key + " " + value + "\n";
+  }
+  for (const auto& [name, bytes] : contents.files) {
+    manifest += "file " + name + " " + std::to_string(bytes.size()) + " " +
+                HexU64(Fnv1a64(bytes)) + "\n";
+  }
+  const std::string manifest_path = (base / manifest_name).string();
+  GRGAD_RETURN_IF_ERROR(WriteTextFile(manifest_path, manifest));
+  for (const auto& [name, bytes] : contents.files) {
+    GRGAD_RETURN_IF_ERROR(WriteTextFile((base / name).string(), bytes));
+  }
+  GRGAD_RETURN_IF_ERROR(FsyncPath(manifest_path, /*is_dir=*/false));
+  for (const auto& [name, bytes] : contents.files) {
+    GRGAD_RETURN_IF_ERROR(FsyncPath((base / name).string(), /*is_dir=*/false));
+  }
+  return FsyncPath(dir, /*is_dir=*/true);
+}
+
+Status ReplaceDir(const std::string& dir,
+                  const std::function<Status(const std::string&)>& fill) {
+  namespace fs = std::filesystem;
+  const fs::path target(dir);
+  const std::string tmp = dir + ".tmp";
+  std::error_code ec;
+  fs::remove_all(tmp, ec);
+  fs::remove_all(dir + ".old", ec);
+  if (target.has_parent_path()) {
+    fs::create_directories(target.parent_path(), ec);
+  }
+  ec.clear();
+  fs::create_directories(tmp, ec);
+  if (ec) return Status::IoError("cannot create " + tmp + ": " + ec.message());
+  Status status = fill(tmp);
+  if (status.ok()) status = CommitDirReplace(tmp, dir);
+  if (!status.ok()) fs::remove_all(tmp, ec);
+  return status;
+}
+
+Result<ManifestDir> ReadManifestDir(const std::string& dir,
+                                    const std::string& manifest_name) {
+  namespace fs = std::filesystem;
+  const fs::path base(dir);
+  const std::string manifest_path = (base / manifest_name).string();
+  std::error_code ec;
+  if (!fs::exists(manifest_path, ec)) {
+    return Status::NotFound("no manifest at " + manifest_path);
+  }
+  auto text = ReadTextFile(manifest_path);
+  if (!text.ok()) return text.status();
+  ManifestDir out;
+  std::vector<ListedFile> listed;
+  GRGAD_RETURN_IF_ERROR(ParseManifest(text.value(), manifest_path, &out,
+                                      &listed));
+  out.files.reserve(listed.size());
+  for (ListedFile& file : listed) {
+    const std::string path = (base / file.name).string();
+    if (!fs::exists(path, ec)) {
+      return Status::DataLoss("missing file " + path + " listed in " +
+                              manifest_path);
+    }
+    auto bytes = ReadTextFile(path);
+    if (!bytes.ok()) return bytes.status();
+    if (bytes.value().size() != static_cast<size_t>(file.bytes)) {
+      return Status::DataLoss("size mismatch in " + path +
+                              ": manifest records " +
+                              std::to_string(file.bytes) + " bytes, found " +
+                              std::to_string(bytes.value().size()));
+    }
+    if (Fnv1a64(bytes.value()) != file.checksum) {
+      return Status::DataLoss("checksum mismatch in " + path);
+    }
+    out.files.emplace_back(std::move(file.name), std::move(bytes).value());
+  }
+  return out;
+}
+
 namespace {
 
 /// Locale-free whitespace test. std::isspace is an opaque per-character
@@ -131,6 +278,14 @@ namespace {
 /// one call is the single largest parse cost.
 inline bool IsSpace(char c) {
   return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// `token` is exactly one number of type T (from_chars: no prefix reads).
+template <typename T>
+bool ParseWhole(std::string_view token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -144,6 +299,16 @@ bool TokenScanner::Token(std::string_view* out) {
   return true;
 }
 
+bool TokenScanner::Line(std::string_view* out) {
+  if (p_ == end_) return false;
+  const char* start = p_;
+  const void* nl = std::memchr(p_, '\n', static_cast<size_t>(end_ - p_));
+  const char* stop = nl != nullptr ? static_cast<const char*>(nl) : end_;
+  *out = std::string_view(start, static_cast<size_t>(stop - start));
+  p_ = stop == end_ ? end_ : stop + 1;
+  return true;
+}
+
 bool TokenScanner::Keyword(std::string_view expected) {
   std::string_view token;
   return Token(&token) && token == expected;
@@ -151,21 +316,20 @@ bool TokenScanner::Keyword(std::string_view expected) {
 
 bool TokenScanner::I64(long long* out) {
   std::string_view token;
-  if (!Token(&token)) return false;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), *out);
-  return ec == std::errc() && ptr == token.data() + token.size();
+  return Token(&token) && ParseWhole(token, out);
+}
+
+bool TokenScanner::U64(uint64_t* out) {
+  std::string_view token;
+  return Token(&token) && ParseWhole(token, out);
 }
 
 bool TokenScanner::F64(double* out) {
   std::string_view token;
-  if (!Token(&token)) return false;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), *out);
-  return ec == std::errc() && ptr == token.data() + token.size();
+  return Token(&token) && ParseWhole(token, out);
 }
 
-bool TokenScanner::F64Bits(double* out) {
+bool TokenScanner::Hex64(uint64_t* out) {
   std::string_view token;
   if (!Token(&token) || token.size() != 16) return false;
   uint64_t bits = 0;
@@ -176,6 +340,13 @@ bool TokenScanner::F64Bits(double* out) {
     bits = (bits << 4) | static_cast<uint64_t>(d & 0xf);
   }
   if (bad < 0) return false;
+  *out = bits;
+  return true;
+}
+
+bool TokenScanner::F64Bits(double* out) {
+  uint64_t bits;
+  if (!Hex64(&bits)) return false;
   std::memcpy(out, &bits, sizeof *out);
   return true;
 }

@@ -1,19 +1,26 @@
 // Crash-safe file primitives shared by every durable store.
 //
-// PR 6 proved the recipe inside the artifact store (write to a staged
-// sibling, fsync file-then-directory, commit by rename, checksum on read);
-// the write-ahead log and serve snapshots need the identical primitives, so
-// they live here instead of being re-derived per subsystem. All helpers
-// keep the artifact-layer fault points ("artifact/write", "artifact/read",
-// "artifact/fsync", "artifact/rename") so the existing seeded fault sweeps
-// exercise every durable path, old and new.
+// One recipe, one implementation: payloads go into a staged sibling
+// `<dir>.tmp` beside a manifest that records each payload's size and
+// FNV-1a checksum, every file and the directory are fsynced, the staging
+// directory is committed by rename, and a load re-verifies every listed
+// file before anything parses it. The artifact store (src/core/artifacts.h)
+// and serve snapshots (src/serve/wal.h) are thin callers of
+// WriteManifestDir / ReplaceDir / ReadManifestDir; the write-ahead log
+// shares the file helpers. All helpers keep the artifact-layer fault
+// points ("artifact/write", "artifact/read", "artifact/fsync",
+// "artifact/rename") so the seeded fault sweeps exercise every durable
+// path.
 #ifndef GRGAD_UTIL_ATOMIC_IO_H_
 #define GRGAD_UTIL_ATOMIC_IO_H_
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/util/status.h"
 
@@ -65,16 +72,48 @@ Result<std::string> ReadTextFile(const std::string& path);
 /// the staging directory itself are durable.
 Status FsyncPath(const std::string& path, bool is_dir);
 
-/// Publishes staged directory `tmp` as `target` via the rename dance
-/// (target -> target.old, tmp -> target, drop .old), with the
-/// "artifact/rename" fault point checked first. rename(2) cannot replace a
-/// non-empty directory, hence the dance; a real rename failure restores the
-/// previous `target`, and a hard crash between the renames leaves `target`
-/// absent — NotFound on load, never a torn mixture that parses. Finishes
-/// with a best-effort parent-directory fsync (the commit already happened,
-/// so an fsync failure there must not fail the save). On error `tmp` is
-/// removed.
-Status CommitDirReplace(const std::string& tmp, const std::string& target);
+/// A manifest directory: payload files beside one manifest file made of
+/// `<key> <value>` header lines followed by one
+/// `file <name> <bytes> <fnv1a-hex>` line per payload. The on-disk form of
+/// the artifact store and of serve snapshots.
+struct ManifestDir {
+  std::vector<std::pair<std::string, std::string>> header;  ///< In order.
+  std::vector<std::pair<std::string, std::string>> files;   ///< Name, bytes.
+
+  /// Value of header `key` / contents of file `name`; nullptr when absent.
+  const std::string* Header(std::string_view key) const;
+  const std::string* File(std::string_view name) const;
+};
+
+/// Writes `contents` into `dir` (created if absent): the manifest
+/// `manifest_name`, then every payload, then an fsync of each file and of
+/// `dir` itself — files + 2 fsyncs. Not atomic on its own: call it from a
+/// ReplaceDir fill.
+Status WriteManifestDir(const std::string& dir,
+                        const std::string& manifest_name,
+                        const ManifestDir& contents);
+
+/// Atomically replaces directory `dir`: stages a fresh `<dir>.tmp` (stale
+/// `.tmp`/`.old` leftovers of a crashed save are removed first), lets
+/// `fill` populate it, then commits by the rename dance (dir -> dir.old,
+/// tmp -> dir, drop .old; "artifact/rename" is checked first). rename(2)
+/// cannot replace a non-empty directory, hence the dance. On ANY failure
+/// the staging directory is removed and the previous `dir` stays intact; a
+/// hard crash between the renames leaves `dir` absent — NotFound on load,
+/// never a torn mixture that parses. A successful commit ends with a
+/// best-effort fsync of the parent directory.
+Status ReplaceDir(
+    const std::string& dir,
+    const std::function<Status(const std::string& staging)>& fill);
+
+/// Reads manifest directory `dir`. NotFound when `manifest_name` is absent;
+/// DataLoss naming the file when the manifest is malformed (every line is
+/// exactly `<key> <value>` or `file <name> <bytes> <16-hex>`, no duplicates)
+/// or a listed file is missing, of the wrong size or fails its checksum;
+/// read errors pass through. Every listed file is verified before this
+/// returns, so callers parse only checksum-clean bytes.
+Result<ManifestDir> ReadManifestDir(const std::string& dir,
+                                    const std::string& manifest_name);
 
 /// Whitespace-token scanner over an in-memory durable payload, the load-path
 /// counterpart of the append-only text writers above. istringstream
@@ -95,13 +134,21 @@ class TokenScanner {
 
   /// Next whitespace-delimited token; false at end of input.
   bool Token(std::string_view* out);
+  /// Next '\n'-terminated line, without the newline (a final unterminated
+  /// line counts); false at end of input. For formats where a line is a
+  /// record, e.g. one candidate group per line, possibly empty.
+  bool Line(std::string_view* out);
   /// Next token must equal `expected` exactly.
   bool Keyword(std::string_view expected);
-  /// Next token parsed fully as a signed 64-bit integer / decimal double.
+  /// Next token parsed fully as a signed / unsigned 64-bit integer /
+  /// decimal double (no sign on U64, no leading '+' anywhere).
   bool I64(long long* out);
+  bool U64(uint64_t* out);
   bool F64(double* out);
-  /// Next token must be exactly 16 hex digits — the FormatDoubleBits wire
-  /// form. Pure bit reassembly, no rounding anywhere to reason about.
+  /// Next token must be exactly 16 hex digits — the HexU64 wire form, and
+  /// through FormatDoubleBits the bits of a double. Pure bit reassembly, no
+  /// rounding anywhere to reason about.
+  bool Hex64(uint64_t* out);
   bool F64Bits(double* out);
   /// True when only whitespace remains (the "no trailing data" check).
   bool AtEnd();

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/artifacts.h"
@@ -26,6 +27,7 @@
 #include "src/tensor/arena.h"
 #include "src/tensor/matrix.h"
 #include "src/util/cancel.h"
+#include "src/util/atomic_io.h"
 #include "src/util/fault.h"
 #include "src/util/retry.h"
 #include "src/util/status.h"
@@ -536,19 +538,103 @@ TEST(ArtifactCorruptionTest, ManifestCountMismatchIsDataLoss) {
   const fs::path dir = TempDir("count_mismatch");
   ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), dir.string()).ok());
   const fs::path manifest = dir / "manifest.txt";
-  std::string text = ReadAll(manifest);
+  const std::string pristine = ReadAll(manifest);
   const std::string key = "num_anchors ";
-  const size_t pos = text.find(key);
+  const size_t pos = pristine.find(key);
   ASSERT_NE(pos, std::string::npos);
   // The manifest itself is not checksummed, so an inflated count must be
   // caught by the parse-time cross-check, not the integrity sweep.
-  text.replace(pos, key.size() + 1, key + "9");
+  std::string inflated = pristine;
+  inflated.replace(pos, key.size() + 1, key + "9");
+  // A deleted count line is damage too: every count is required.
+  std::string deleted = pristine;
+  deleted.erase(pos, pristine.find('\n', pos) + 1 - pos);
+  for (const std::string& text : {inflated, deleted}) {
+    WriteAll(manifest, text);
+    const auto loaded = LoadArtifacts(dir.string());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(loaded.status().message().find("num_anchors"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ArtifactCorruptionTest, VersionOneManifestIsUnsupported) {
+  const fs::path dir = TempDir("version_one");
+  ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), dir.string()).ok());
+  const fs::path manifest = dir / "manifest.txt";
+  std::string text = ReadAll(manifest);
+  const std::string header = "grgad_artifacts_version 2";
+  ASSERT_EQ(text.rfind(header, 0), 0u);
+  text.replace(0, header.size(), "grgad_artifacts_version 1");
+  WriteAll(manifest, text);
+  const auto loaded = LoadArtifacts(dir.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unsupported artifact version 1"),
+            std::string::npos)
+      << loaded.status().ToString();
+  fs::remove_all(dir);
+}
+
+TEST(ArtifactCorruptionTest, SignedSeedIsDataLoss) {
+  const fs::path dir = TempDir("signed_seed");
+  ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), dir.string()).ok());
+  const fs::path manifest = dir / "manifest.txt";
+  std::string text = ReadAll(manifest);
+  const std::string seed_line = "\nseed 7\n";
+  const size_t pos = text.find(seed_line);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, seed_line.size(), "\nseed +7\n");
   WriteAll(manifest, text);
   const auto loaded = LoadArtifacts(dir.string());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(loaded.status().message().find("num_anchors"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("seed"), std::string::npos);
   fs::remove_all(dir);
+}
+
+/// Replaces `name` in artifact directory `dir` and re-records its size and
+/// checksum in the manifest, so only the payload parser can object.
+void RewriteWithRecordedChecksum(const fs::path& dir, const std::string& name,
+                                 const std::string& content) {
+  WriteAll(dir / name, content);
+  std::string manifest = ReadAll(dir / "manifest.txt");
+  const std::string prefix = "file " + name + " ";
+  const size_t start = manifest.find(prefix);
+  ASSERT_NE(start, std::string::npos) << name;
+  const size_t end = manifest.find('\n', start);
+  manifest.replace(start, end - start,
+                   prefix + std::to_string(content.size()) + " " +
+                       HexU64(Fnv1a64(content)));
+  WriteAll(dir / "manifest.txt", manifest);
+}
+
+TEST(ArtifactCorruptionTest, DamagedRowWithRecordedChecksumIsRejected) {
+  // SmallArtifacts serializes scored groups as "2\n1.5 7 8 9\n0.5 0 1 2\n"
+  // and candidate groups as "3\n0 1 2\n3 4\n7 8 9\n".
+  const std::vector<std::pair<std::string, std::string>> damaged = {
+      {"scored_groups.txt", "2\n1.5 7 8 9\n0.25 1 x 3\n"},
+      {"scored_groups.txt", "2\n1.5 7 8 9\n0.25 1 4294967296 3\n"},
+      {"scored_groups.txt", "2\n1.5 7 8 9\n0.5 0 1 2\nextra\n"},
+      {"groups.txt", "3\n0 1 2\n3 4x\n7 8 9\n"},
+      {"groups.txt", "3\n0 1 2\n3 99999999999\n7 8 9\n"},
+      {"anchors.txt", "1 4 9z\n"},
+      {"scores.txt", "0.5\n1.5\n-0.25junk\n"},
+      {"embeddings.txt", "3 2\n0 0.25\n0.5 0.75\n1 1.25 7\n"},
+  };
+  for (const auto& [name, content] : damaged) {
+    const fs::path dir = TempDir("damaged_row");
+    ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), dir.string()).ok());
+    RewriteWithRecordedChecksum(dir, name, content);
+    const auto loaded = LoadArtifacts(dir.string());
+    EXPECT_FALSE(loaded.ok()) << name << ": " << content;
+    EXPECT_NE(loaded.status().message().find(name), std::string::npos)
+        << loaded.status().ToString();
+    fs::remove_all(dir);
+  }
 }
 
 TEST(ArtifactCorruptionTest, MissingDirectoryIsNotFound) {

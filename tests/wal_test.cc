@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -35,6 +36,7 @@
 #include "src/serve/request.h"
 #include "src/serve/server.h"
 #include "src/serve/wal.h"
+#include "src/util/atomic_io.h"
 #include "src/util/status.h"
 
 namespace grgad {
@@ -344,27 +346,174 @@ TEST(WalTest, ServeSnapshotRoundtripRestoresEverything) {
   EXPECT_TRUE(replaced.value().state.all_dirty);
 }
 
+/// Hand-built serving state, independent of training, so its snapshot
+/// bytes are the same on every ISA and thread count.
+Graph SmallGraph() {
+  GraphBuilder builder(6);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(2, 0);
+  builder.AddEdge(3, 4);
+  builder.AddEdge(4, 5);
+  Matrix attributes(6, 2);
+  for (size_t i = 0; i < 6; ++i) {
+    attributes(i, 0) = 0.1 * static_cast<double>(i);
+    attributes(i, 1) = -1.0 / static_cast<double>(i + 3);
+  }
+  return builder.Build(attributes);
+}
+
+PipelineArtifacts SmallArtifacts() {
+  PipelineArtifacts a;
+  a.seed = 7;
+  a.anchors = {1, 4, 5};
+  a.candidate_groups = {{0, 1, 2}, {3, 4, 5}, {}};
+  a.group_embeddings = Matrix(3, 2);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j < 2; ++j) {
+      a.group_embeddings(i, j) = 0.25 * static_cast<double>(i * 2 + j) - 0.1;
+    }
+  }
+  a.group_scores = {0.5, 1.0 / 3.0, -0.25};
+  a.scored_groups = {{{0, 1, 2}, 0.5}, {{3, 4, 5}, 1.0 / 3.0}};
+  a.gae_node_errors = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  a.tpgcl_loss_history = {2.0, 1.0, 0.5};
+  return a;
+}
+
+ServeStateSnapshot SmallState() {
+  ServeStateSnapshot state;
+  state.dirty_anchor_indices = {1};
+  state.refresh_primed = true;
+  state.refresh_per_anchor = {{{0, 1, 2}, {0, 2}}, {{3, 4, 5}}, {}};
+  return state;
+}
+
+/// FNV-1a of a file's bytes, in the manifests' checksum form.
+std::string FileDigest(const fs::path& path) {
+  return HexU64(Fnv1a64(Slurp(path)));
+}
+
+TEST(WalTest, SnapshotAndArtifactBytesArePinned) {
+  const fs::path dir = TempDir("golden");
+  ASSERT_TRUE(SaveServeSnapshot(dir.string(), SmallGraph(), SmallArtifacts(),
+                                SmallState(), /*wal_seq=*/17)
+                  .ok());
+  ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), (dir / "store").string()).ok());
+  // Each manifest records the size and FNV-1a of every payload beside it,
+  // so these two digests pin every byte of both directories. Computed with
+  // the serializers as they stood before the shared directory store.
+  EXPECT_EQ(FileDigest(dir / "snapshot" / "snapshot.txt"), "7d5f8b30be59f672");
+  EXPECT_EQ(FileDigest(dir / "snapshot" / "artifacts" / "manifest.txt"),
+            "df26268631919c24");
+  EXPECT_EQ(FileDigest(dir / "store" / "manifest.txt"),
+            FileDigest(dir / "snapshot" / "artifacts" / "manifest.txt"));
+}
+
+TEST(WalTest, SpecialDoublesRoundTripBitExactly) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> specials = {
+      Limits::denorm_min(), -Limits::denorm_min(), 1e-310, Limits::min(),
+      Limits::infinity(),   -Limits::infinity(),   Limits::quiet_NaN(),
+      -Limits::quiet_NaN(), -0.0,                  Limits::max()};
+  PipelineArtifacts artifacts = SmallArtifacts();
+  artifacts.group_scores = specials;
+  artifacts.gae_node_errors = specials;
+  artifacts.tpgcl_loss_history = specials;
+  artifacts.scored_groups.clear();
+  artifacts.group_embeddings = Matrix(specials.size(), 1);
+  for (size_t i = 0; i < specials.size(); ++i) {
+    artifacts.scored_groups.push_back({{static_cast<int>(i)}, specials[i]});
+    artifacts.group_embeddings(i, 0) = specials[i];
+  }
+  const auto bits = [](double v) {
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  const fs::path dir = TempDir("specials");
+  ASSERT_TRUE(SaveServeSnapshot(dir.string(), SmallGraph(), artifacts,
+                                ServeStateSnapshot{}, 3)
+                  .ok());
+  auto loaded = LoadServeSnapshot(dir.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const PipelineArtifacts& back = loaded.value().artifacts;
+  ASSERT_EQ(back.group_scores.size(), specials.size());
+  ASSERT_EQ(back.scored_groups.size(), specials.size());
+  ASSERT_EQ(back.group_embeddings.rows(), specials.size());
+  for (size_t i = 0; i < specials.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(bits(back.group_scores[i]), bits(specials[i]));
+    EXPECT_EQ(bits(back.gae_node_errors[i]), bits(specials[i]));
+    EXPECT_EQ(bits(back.tpgcl_loss_history[i]), bits(specials[i]));
+    EXPECT_EQ(bits(back.scored_groups[i].score), bits(specials[i]));
+    EXPECT_EQ(bits(back.group_embeddings(i, 0)), bits(specials[i]));
+  }
+}
+
 TEST(WalTest, MissingSnapshotIsNotFoundCorruptIsDataLoss) {
   const fs::path dir = TempDir("snapdamage");
   auto missing = LoadServeSnapshot(dir.string());
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 
-  ServeStateSnapshot state;
-  state.all_dirty = true;
-  ASSERT_TRUE(SaveServeSnapshot(dir.string(), TestDataset().graph,
-                                TrainedArtifacts(), state, 5)
+  ASSERT_TRUE(SaveServeSnapshot(dir.string(), SmallGraph(), SmallArtifacts(),
+                                SmallState(), 5)
                   .ok());
-  // Flip one byte of the persisted graph: the manifest checksum must catch
-  // it and refuse to serve from damaged state.
-  const fs::path graph_file = dir / "snapshot" / "graph.txt";
-  std::string bytes = Slurp(graph_file);
-  bytes[bytes.size() / 2] ^= 0x01;
-  Spit(graph_file, bytes);
-  auto corrupt = LoadServeSnapshot(dir.string());
-  ASSERT_FALSE(corrupt.ok());
-  EXPECT_EQ(corrupt.status().code(), StatusCode::kDataLoss)
-      << corrupt.status().ToString();
+  // Every file of the snapshot and of its nested artifact store, each
+  // truncated, bit-flipped and removed. Payload damage is caught by the
+  // manifest checksums and refuses to serve from damaged state.
+  const fs::path snap = dir / "snapshot";
+  const std::vector<std::pair<fs::path, bool>> files = {
+      {snap / "snapshot.txt", true},
+      {snap / "graph.txt", false},
+      {snap / "serve_state.txt", false},
+      {snap / "artifacts" / "manifest.txt", true},
+      {snap / "artifacts" / "anchors.txt", false},
+      {snap / "artifacts" / "groups.txt", false},
+      {snap / "artifacts" / "embeddings.txt", false},
+      {snap / "artifacts" / "scores.txt", false},
+      {snap / "artifacts" / "scored_groups.txt", false},
+      {snap / "artifacts" / "node_errors.txt", false},
+      {snap / "artifacts" / "tpgcl_loss.txt", false},
+  };
+  for (const auto& [target, is_manifest] : files) {
+    const std::string name = target.filename().string();
+    ASSERT_TRUE(fs::exists(target)) << target;
+    const std::string pristine = Slurp(target);
+    ASSERT_GT(pristine.size(), 4u) << target;
+    for (const std::string mode : {"truncate", "flip", "remove"}) {
+      SCOPED_TRACE(target.string() + " " + mode);
+      if (mode == "truncate") {
+        Spit(target, pristine.substr(0, pristine.size() - 3));
+      } else if (mode == "flip") {
+        std::string flipped = pristine;
+        flipped[flipped.size() / 2] ^= 0x01;
+        Spit(target, flipped);
+      } else {
+        fs::remove(target);
+      }
+      auto loaded = LoadServeSnapshot(dir.string());
+      ASSERT_FALSE(loaded.ok());
+      if (!is_manifest) {
+        EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+            << loaded.status().ToString();
+        EXPECT_NE(loaded.status().message().find(name), std::string::npos)
+            << loaded.status().ToString();
+      }
+      Spit(target, pristine);
+    }
+  }
+  EXPECT_TRUE(LoadServeSnapshot(dir.string()).ok());
+  // Header numbers parse as strictly as payloads: no sign prefix.
+  std::string manifest = Slurp(snap / "snapshot.txt");
+  const size_t pos = manifest.find("wal_seq 5\n");
+  ASSERT_NE(pos, std::string::npos);
+  manifest.replace(pos, 9, "wal_seq +5");
+  Spit(snap / "snapshot.txt", manifest);
+  auto signed_seq = LoadServeSnapshot(dir.string());
+  ASSERT_FALSE(signed_seq.ok());
+  EXPECT_EQ(signed_seq.status().code(), StatusCode::kDataLoss);
 }
 
 // ---- daemon recovery equivalence --------------------------------------------
