@@ -22,7 +22,13 @@ int Run() {
     Dataset dataset;
     if (!LoadBenchDataset(dataset_name, &dataset)) return 1;
     TpGrGad method(MakeTpGrGadOptions(config, 1000));
-    const PipelineArtifacts artifacts = method.Run(dataset.graph);
+    auto result = method.TryRun(dataset.graph);
+    if (!result.ok()) {
+      std::printf("%s: %s, skipping\n", dataset_name.c_str(),
+                  result.status().ToString().c_str());
+      continue;
+    }
+    const PipelineArtifacts& artifacts = result.value();
     if (artifacts.candidate_groups.size() < 4) {
       std::printf("%s: too few candidates, skipping\n", dataset_name.c_str());
       continue;

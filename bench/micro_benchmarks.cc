@@ -1,26 +1,25 @@
-// google-benchmark microbenchmarks for the substrates: dense/sparse linear
-// algebra, graph algorithms, GraphSNN weighting, detectors, and one TPGCL
-// training epoch. These are throughput references, not paper figures.
+// Seed-vs-optimized microbenchmarks for the substrates, written to
+// bench_results/micro.json (schema in PERF.md, gated in CI by
+// tools/check_micro.py). Run from a build directory:
 //
-// Before the google-benchmark suites run, main() measures six axes —
+//   GRGAD_THREADS=4 ./micro_benchmarks
+//
+// Eight tables, each timed as median wall-clock milliseconds per call:
 // end-to-end training epochs (optimized path only, with arena accounting),
 // the candidate stage (frozen serial sampler/pattern/augment paths vs the
 // workspace/view product path), the scoring stage (frozen seed detectors vs
-// the GEMM/parallel product detectors),
-// the tensor kernels on the training-hot shapes, the resident daemon's
-// round-trip latency, and the mutation fast path (slack-CSR apply, ball
-// invalidation, dirty-anchor incremental refresh vs full recompute) — and
-// writes the results to bench_results/micro.json (schema in PERF.md),
-// giving every PR a machine-readable before/after perf trajectory.
-// Set GRGAD_MICRO_JSON=0 to skip that phase, and GRGAD_MICRO_JSON_ONLY=1 to
-// run only it.
-#include <benchmark/benchmark.h>
+// the GEMM/parallel product detectors), the tensor kernels on the
+// training-hot shapes, the resident daemon's round-trip latency, the
+// mutation fast path (slack-CSR apply, ball invalidation, dirty-anchor
+// incremental refresh vs full recompute), durability (WAL append, snapshot,
+// crash recovery vs rebuild), and ungated optimized-only timings of the
+// graph and t-SNE substrates nothing else covers.
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <numeric>
 #include <string>
@@ -53,6 +52,7 @@
 #include "src/tensor/matrix.h"
 #include "src/tensor/reference_kernels.h"
 #include "src/tensor/sparse.h"
+#include "src/util/json.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
@@ -81,138 +81,29 @@ Graph BenchGraph(int n, uint64_t seed) {
   return b.Build(std::move(x));
 }
 
-void BM_DenseMatMul(benchmark::State& state) {
-  const size_t n = state.range(0);
-  Matrix a = RandomMatrix(n, n, 1);
-  Matrix b = RandomMatrix(n, n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+/// Keeps `value` (and the work that produced it) alive past the optimizer:
+/// the empty asm may read anything through the escaped address.
+template <typename T>
+void DoNotOptimize(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
 }
-BENCHMARK(BM_DenseMatMul)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_TallSkinnyMatMul(benchmark::State& state) {
-  // The GCN shape: (n x d) * (d x h).
-  Matrix a = RandomMatrix(4096, 256, 3);
-  Matrix b = RandomMatrix(256, 64, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMul(a, b));
-  }
-}
-BENCHMARK(BM_TallSkinnyMatMul);
-
-void BM_Spmm(benchmark::State& state) {
-  const int n = state.range(0);
-  Graph g = BenchGraph(n, 5);
-  auto op = NormalizedAdjacency(g);
-  Matrix x = RandomMatrix(n, 64, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(op->Spmm(x));
-  }
-  state.SetItemsProcessed(state.iterations() * op->nnz() * 64);
-}
-BENCHMARK(BM_Spmm)->Arg(1000)->Arg(10000);
-
-void BM_BfsDistances(benchmark::State& state) {
-  Graph g = BenchGraph(state.range(0), 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BfsDistances(g, 0));
-  }
-}
-BENCHMARK(BM_BfsDistances)->Arg(1000)->Arg(10000);
-
-void BM_CyclesThrough(benchmark::State& state) {
-  Graph g = BenchGraph(2000, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CyclesThrough(g, 0, 8, 32));
-  }
-}
-BENCHMARK(BM_CyclesThrough);
-
-void BM_GraphSnnWeights(benchmark::State& state) {
-  Graph g = BenchGraph(state.range(0), 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(GraphSnnAdjacency(g));
-  }
-}
-BENCHMARK(BM_GraphSnnWeights)->Arg(1000)->Arg(5000);
-
-void BM_StandardizedPower(benchmark::State& state) {
-  Graph g = BenchGraph(2000, 10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(StandardizedPower(g, state.range(0)));
-  }
-}
-BENCHMARK(BM_StandardizedPower)->Arg(3)->Arg(5)->Arg(7);
-
-void BM_PatternSearch(benchmark::State& state) {
-  Graph g = BenchGraph(200, 11);
-  std::vector<int> group;
-  for (int v = 0; v < 24; ++v) group.push_back(v);
-  Graph sub = g.InducedSubgraph(group);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SearchPatterns(sub));
-  }
-}
-BENCHMARK(BM_PatternSearch);
-
-void BM_Ecod(benchmark::State& state) {
-  Matrix x = RandomMatrix(state.range(0), 64, 12);
-  Ecod ecod;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ecod.FitScore(x));
-  }
-}
-BENCHMARK(BM_Ecod)->Arg(256)->Arg(1024);
-
-void BM_IsolationForest(benchmark::State& state) {
-  Matrix x = RandomMatrix(512, 64, 13);
-  IsolationForestOptions options;
-  options.num_trees = 50;
-  IsolationForest forest(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.FitScore(x));
-  }
-}
-BENCHMARK(BM_IsolationForest);
-
-void BM_TsneIterations(benchmark::State& state) {
-  Matrix x = RandomMatrix(128, 32, 14);
-  TsneOptions options;
-  options.iterations = 20;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Tsne(x, options));
-  }
-}
-BENCHMARK(BM_TsneIterations);
-
-void BM_TpgclEpoch(benchmark::State& state) {
-  DatasetOptions data_options;
-  data_options.seed = 1;
-  const Dataset d = GenExampleGraph(data_options);
-  std::vector<std::vector<int>> candidates = d.anomaly_groups;
-  for (int i = 0; i < 20; ++i) {
-    candidates.push_back({i, i + 1, i + 2, i + 3});
-  }
-  for (auto _ : state) {
-    TpgclOptions options;
-    options.epochs = 1;
-    Tpgcl tpgcl(options);
-    benchmark::DoNotOptimize(tpgcl.FitEmbed(d.graph, candidates));
-  }
-}
-BENCHMARK(BM_TpgclEpoch);
 
 // ---------------------------------------------------------------------------
-// Seed-vs-optimized kernel comparison -> bench_results/micro.json.
+// Shared row shape and timing for the seed-vs-opt tables.
 // ---------------------------------------------------------------------------
 
-struct KernelResult {
+/// One timed row of the kernels/candidates/scoring/mutations/durability/
+/// substrates tables.
+struct Row {
   std::string name;
   std::string shape;
-  double seed_ms = 0.0;
-  double opt_ms = 0.0;
+  double seed_ms = 0.0;  ///< Seed/reference side; 0 = no comparison (no gate).
+  double opt_ms = 0.0;   ///< Product path.
+  double fanout = -1.0;  ///< Mean dirty anchors per mutation; -1 = n/a.
+  /// Sampler only: TraversalWorkspace buffer growths across one steady-state
+  /// Sample call (must be 0 — pooled workspaces fully warm after the timed
+  /// runs). -1 for entries that do not use workspaces.
+  int64_t steady_workspace_allocs = -1;
 };
 
 /// Median-of-reps wall-clock milliseconds for one call of f (after a warmup
@@ -233,6 +124,49 @@ double MedianMs(F&& f) {
   return samples[samples.size() / 2];
 }
 
+double Speedup(const Row& r) {
+  return r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9);
+}
+
+void PrintRow(const Row& r) {
+  if (r.seed_ms > 0.0) {
+    std::printf("  %-24s %-24s seed %8.3f ms   opt %8.3f ms   %.2fx\n",
+                r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
+                Speedup(r));
+  } else {
+    std::printf("  %-24s %-24s                  opt %8.3f ms\n",
+                r.name.c_str(), r.shape.c_str(), r.opt_ms);
+  }
+}
+
+/// Times the seed and the optimized side of one row and prints it.
+template <typename SeedFn, typename OptFn>
+Row Compare(std::string name, std::string shape, SeedFn&& seed_fn,
+            OptFn&& opt_fn) {
+  Row r;
+  r.name = std::move(name);
+  r.shape = std::move(shape);
+  r.seed_ms = MedianMs(seed_fn);
+  r.opt_ms = MedianMs(opt_fn);
+  PrintRow(r);
+  return r;
+}
+
+/// Times an optimized-only row and prints it.
+template <typename OptFn>
+Row TimeOnly(std::string name, std::string shape, OptFn&& opt_fn) {
+  Row r;
+  r.name = std::move(name);
+  r.shape = std::move(shape);
+  r.opt_ms = MedianMs(opt_fn);
+  PrintRow(r);
+  return r;
+}
+
+// ---------------------------------------------------------------------------
+// Seed-vs-optimized kernel comparison -> the "kernels" table.
+// ---------------------------------------------------------------------------
+
 SparseMatrix BenchAdjacency(int n, int avg_degree, uint64_t seed) {
   Rng rng(seed);
   std::vector<Triplet> t;
@@ -245,19 +179,10 @@ SparseMatrix BenchAdjacency(int n, int avg_degree, uint64_t seed) {
   return SparseMatrix::FromTriplets(n, n, std::move(t));
 }
 
-std::vector<KernelResult> CompareKernels() {
-  std::vector<KernelResult> results;
-  auto add = [&](std::string name, std::string shape, auto&& seed_fn,
-                 auto&& opt_fn) {
-    KernelResult r;
-    r.name = std::move(name);
-    r.shape = std::move(shape);
-    r.seed_ms = MedianMs(seed_fn);
-    r.opt_ms = MedianMs(opt_fn);
-    std::printf("  %-24s %-24s seed %8.3f ms   opt %8.3f ms   %.2fx\n",
-                r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                r.seed_ms / r.opt_ms);
-    results.push_back(std::move(r));
+std::vector<Row> CompareKernels() {
+  std::vector<Row> results;
+  auto add = [&](auto&&... args) {
+    results.push_back(Compare(std::forward<decltype(args)>(args)...));
   };
 
   // Dense kernels on the acceptance shape and the GCN tall-skinny shape.
@@ -266,28 +191,28 @@ std::vector<KernelResult> CompareKernels() {
     Matrix b = RandomMatrix(512, 512, 22);
     add(
         "matmul", "512x512x512",
-        [&] { benchmark::DoNotOptimize(reference::MatMul(a, b)); },
-        [&] { benchmark::DoNotOptimize(MatMul(a, b)); });
+        [&] { DoNotOptimize(reference::MatMul(a, b)); },
+        [&] { DoNotOptimize(MatMul(a, b)); });
     add(
         "matmul_transpose_b", "512x512x512",
-        [&] { benchmark::DoNotOptimize(reference::MatMulTransposeB(a, b)); },
-        [&] { benchmark::DoNotOptimize(MatMulTransposeB(a, b)); });
+        [&] { DoNotOptimize(reference::MatMulTransposeB(a, b)); },
+        [&] { DoNotOptimize(MatMulTransposeB(a, b)); });
     add(
         "matmul_transpose_a", "512x512x512",
-        [&] { benchmark::DoNotOptimize(reference::MatMulTransposeA(a, b)); },
-        [&] { benchmark::DoNotOptimize(MatMulTransposeA(a, b)); });
+        [&] { DoNotOptimize(reference::MatMulTransposeA(a, b)); },
+        [&] { DoNotOptimize(MatMulTransposeA(a, b)); });
     add(
         "transpose", "512x512",
-        [&] { benchmark::DoNotOptimize(reference::Transpose(a)); },
-        [&] { benchmark::DoNotOptimize(a.Transpose()); });
+        [&] { DoNotOptimize(reference::Transpose(a)); },
+        [&] { DoNotOptimize(a.Transpose()); });
   }
   {
     Matrix a = RandomMatrix(4096, 256, 23);
     Matrix b = RandomMatrix(256, 64, 24);
     add(
         "matmul", "4096x256x64",
-        [&] { benchmark::DoNotOptimize(reference::MatMul(a, b)); },
-        [&] { benchmark::DoNotOptimize(MatMul(a, b)); });
+        [&] { DoNotOptimize(reference::MatMul(a, b)); },
+        [&] { DoNotOptimize(MatMul(a, b)); });
   }
 
   // Sparse kernels on a 10k-node adjacency with 64-wide features (the GCN
@@ -297,12 +222,12 @@ std::vector<KernelResult> CompareKernels() {
     Matrix x = RandomMatrix(10000, 64, 26);
     add(
         "spmm", "10000x10000(nnz~40k)x64",
-        [&] { benchmark::DoNotOptimize(reference::Spmm(s, x)); },
-        [&] { benchmark::DoNotOptimize(s.Spmm(x)); });
+        [&] { DoNotOptimize(reference::Spmm(s, x)); },
+        [&] { DoNotOptimize(s.Spmm(x)); });
     add(
         "spmm_transpose_this", "10000x10000(nnz~40k)x64",
-        [&] { benchmark::DoNotOptimize(reference::SpmmTransposeThis(s, x)); },
-        [&] { benchmark::DoNotOptimize(s.SpmmTransposeThis(x)); });
+        [&] { DoNotOptimize(reference::SpmmTransposeThis(s, x)); },
+        [&] { DoNotOptimize(s.SpmmTransposeThis(x)); });
   }
 
   // Elementwise map: the seed's per-element std::function dispatch vs the
@@ -314,9 +239,9 @@ std::vector<KernelResult> CompareKernels() {
     };
     add(
         "map_relu", "2048x256",
-        [&] { benchmark::DoNotOptimize(reference::Map(x, relu)); },
+        [&] { DoNotOptimize(reference::Map(x, relu)); },
         [&] {
-          benchmark::DoNotOptimize(
+          DoNotOptimize(
               x.MapFn([](double v) { return v > 0.0 ? v : 0.0; }));
         });
   }
@@ -329,32 +254,10 @@ std::vector<KernelResult> CompareKernels() {
 // "candidates" table.
 // ---------------------------------------------------------------------------
 
-struct CandidateResult {
-  std::string name;
-  std::string shape;
-  double seed_ms = 0.0;  ///< Seed-shaped serial reference.
-  double opt_ms = 0.0;   ///< Workspace/view product path.
-  /// Sampler only: TraversalWorkspace buffer growths across one steady-state
-  /// Sample call (must be 0 — pooled workspaces fully warm after the timed
-  /// runs). -1 for entries that do not use workspaces.
-  int64_t steady_workspace_allocs = -1;
-};
-
-std::vector<CandidateResult> CompareCandidateKernels() {
-  std::vector<CandidateResult> results;
-  results.reserve(3);  // add() returns a reference into this vector.
-  auto add = [&](std::string name, std::string shape, auto&& seed_fn,
-                 auto&& opt_fn) -> CandidateResult& {
-    CandidateResult r;
-    r.name = std::move(name);
-    r.shape = std::move(shape);
-    r.seed_ms = MedianMs(seed_fn);
-    r.opt_ms = MedianMs(opt_fn);
-    std::printf("  %-24s %-24s seed %8.3f ms   opt %8.3f ms   %.2fx\n",
-                r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                r.seed_ms / r.opt_ms);
-    results.push_back(std::move(r));
-    return results.back();
+std::vector<Row> CompareCandidateKernels() {
+  std::vector<Row> results;
+  auto add = [&](auto&&... args) {
+    results.push_back(Compare(std::forward<decltype(args)>(args)...));
   };
 
   // The acceptance shape: Alg. 1 over a transaction-scale random graph with
@@ -364,18 +267,19 @@ std::vector<CandidateResult> CompareCandidateKernels() {
     std::vector<int> anchors;
     for (int v = 0; v < g.num_nodes(); v += 125) anchors.push_back(v);
     GroupSampler sampler{GroupSamplerOptions{}};
-    CandidateResult& r = add(
+    Row r = Compare(
         "sampler", "n=8000,anchors=64",
-        [&] { benchmark::DoNotOptimize(sampler.SampleReference(g, anchors)); },
-        [&] { benchmark::DoNotOptimize(sampler.Sample(g, anchors)); });
+        [&] { DoNotOptimize(sampler.SampleReference(g, anchors)); },
+        [&] { DoNotOptimize(sampler.Sample(g, anchors)); });
     // Steady-state workspace accounting: the timed opt runs above warmed
     // every pooled workspace; one more call must not grow anything.
     const uint64_t before = TraversalWorkspace::TotalHeapAllocs();
-    benchmark::DoNotOptimize(sampler.Sample(g, anchors));
+    DoNotOptimize(sampler.Sample(g, anchors));
     r.steady_workspace_allocs =
         static_cast<int64_t>(TraversalWorkspace::TotalHeapAllocs() - before);
     std::printf("  %-24s steady workspace heap allocs: %lld\n", "",
                 static_cast<long long>(r.steady_workspace_allocs));
+    results.push_back(std::move(r));
   }
 
   // Alg. 2 consumers on one candidate group: materialized InducedSubgraph
@@ -389,11 +293,11 @@ std::vector<CandidateResult> CompareCandidateKernels() {
         "pattern_search", "group=24",
         [&] {
           const Graph sub = g.InducedSubgraph(group);
-          benchmark::DoNotOptimize(SearchPatterns(sub));
+          DoNotOptimize(SearchPatterns(sub));
         },
         [&] {
           view.Reset(g, group);
-          benchmark::DoNotOptimize(SearchPatterns(view));
+          DoNotOptimize(SearchPatterns(view));
         });
     const Graph sub = g.InducedSubgraph(group);
     const FoundPatterns patterns = SearchPatterns(sub);
@@ -402,17 +306,17 @@ std::vector<CandidateResult> CompareCandidateKernels() {
         [&] {
           Rng rng(5);
           const Graph seed_sub = g.InducedSubgraph(group);
-          benchmark::DoNotOptimize(
+          DoNotOptimize(
               Augment(seed_sub, AugmentationKind::kPpa, patterns, &rng));
-          benchmark::DoNotOptimize(
+          DoNotOptimize(
               Augment(seed_sub, AugmentationKind::kPba, patterns, &rng));
         },
         [&] {
           Rng rng(5);
           view.Reset(g, group);
-          benchmark::DoNotOptimize(
+          DoNotOptimize(
               Augment(view, AugmentationKind::kPpa, patterns, &rng));
-          benchmark::DoNotOptimize(
+          DoNotOptimize(
               Augment(view, AugmentationKind::kPba, patterns, &rng));
         });
   }
@@ -424,26 +328,10 @@ std::vector<CandidateResult> CompareCandidateKernels() {
 // product detectors) -> the "scoring" table.
 // ---------------------------------------------------------------------------
 
-struct ScoringResult {
-  std::string name;
-  std::string shape;
-  double seed_ms = 0.0;  ///< Frozen seed implementation (reference_detectors).
-  double opt_ms = 0.0;   ///< Product code.
-};
-
-std::vector<ScoringResult> CompareScoringKernels() {
-  std::vector<ScoringResult> results;
-  auto add = [&](std::string name, std::string shape, auto&& seed_fn,
-                 auto&& opt_fn) {
-    ScoringResult r;
-    r.name = std::move(name);
-    r.shape = std::move(shape);
-    r.seed_ms = MedianMs(seed_fn);
-    r.opt_ms = MedianMs(opt_fn);
-    std::printf("  %-24s %-24s seed %8.3f ms   opt %8.3f ms   %.2fx\n",
-                r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                r.seed_ms / r.opt_ms);
-    results.push_back(std::move(r));
+std::vector<Row> CompareScoringKernels() {
+  std::vector<Row> results;
+  auto add = [&](auto&&... args) {
+    results.push_back(Compare(std::forward<decltype(args)>(args)...));
   };
 
   // The acceptance shape: group embeddings at serving scale (n groups x
@@ -451,20 +339,20 @@ std::vector<ScoringResult> CompareScoringKernels() {
   Matrix x = RandomMatrix(2048, 64, 41);
   add(
       "pairwise", "2048x64",
-      [&] { benchmark::DoNotOptimize(reference::PairwiseDistances(x)); },
-      [&] { benchmark::DoNotOptimize(PairwiseDistances(x)); });
+      [&] { DoNotOptimize(reference::PairwiseDistances(x)); },
+      [&] { DoNotOptimize(PairwiseDistances(x)); });
   add(
       "knn", "2048x64,k=5",
-      [&] { benchmark::DoNotOptimize(reference::KnnFitScore(x, 5)); },
-      [&] { benchmark::DoNotOptimize(KnnDetector(5).FitScore(x)); });
+      [&] { DoNotOptimize(reference::KnnFitScore(x, 5)); },
+      [&] { DoNotOptimize(KnnDetector(5).FitScore(x)); });
   add(
       "lof", "2048x64,k=10",
-      [&] { benchmark::DoNotOptimize(reference::LofFitScore(x, 10)); },
-      [&] { benchmark::DoNotOptimize(Lof(10).FitScore(x)); });
+      [&] { DoNotOptimize(reference::LofFitScore(x, 10)); },
+      [&] { DoNotOptimize(Lof(10).FitScore(x)); });
   add(
       "ecod", "2048x64",
-      [&] { benchmark::DoNotOptimize(reference::EcodFitScore(x)); },
-      [&] { benchmark::DoNotOptimize(Ecod().FitScore(x)); });
+      [&] { DoNotOptimize(reference::EcodFitScore(x)); },
+      [&] { DoNotOptimize(Ecod().FitScore(x)); });
   {
     IsolationForestOptions options;
     options.num_trees = 100;
@@ -472,11 +360,11 @@ std::vector<ScoringResult> CompareScoringKernels() {
     add(
         "iforest", "2048x64,trees=100",
         [&] {
-          benchmark::DoNotOptimize(
+          DoNotOptimize(
               reference::IsolationForestFitScore(x, options));
         },
         [&] {
-          benchmark::DoNotOptimize(IsolationForest(options).FitScore(x));
+          DoNotOptimize(IsolationForest(options).FitScore(x));
         });
   }
   {
@@ -484,9 +372,9 @@ std::vector<ScoringResult> CompareScoringKernels() {
     add(
         "graphsnn", "n=5000",
         [&] {
-          benchmark::DoNotOptimize(reference::GraphSnnEdgeWeights(g, 1.0));
+          DoNotOptimize(reference::GraphSnnEdgeWeights(g, 1.0));
         },
-        [&] { benchmark::DoNotOptimize(GraphSnnEdgeWeights(g, 1.0)); });
+        [&] { DoNotOptimize(GraphSnnEdgeWeights(g, 1.0)); });
   }
   return results;
 }
@@ -579,7 +467,7 @@ std::vector<EpochResult> MeasureTrainingEpochs() {
             options.epochs = epochs;
             options.seed = 17;
             options.arena = arena;
-            benchmark::DoNotOptimize(
+            DoNotOptimize(
                 Tpgcl(options).FitEmbed(dataset.graph, candidates));
           };
         }));
@@ -606,7 +494,7 @@ std::vector<EpochResult> MeasureTrainingEpochs() {
             options.epochs = epochs;
             options.seed = 17;
             options.arena = arena;
-            benchmark::DoNotOptimize(GcnGae(options).Fit(g));
+            DoNotOptimize(GcnGae(options).Fit(g));
           };
         }));
   }
@@ -712,25 +600,14 @@ std::vector<ServeResult> MeasureServeRoundTrip() {
 // single-edge mutation dirties a small anchor subset.
 // ---------------------------------------------------------------------------
 
-struct MutationResult {
-  std::string name;
-  std::string shape;
-  double seed_ms = 0.0;  ///< Pre-PR path; 0 = no seed comparison (no gate).
-  double opt_ms = 0.0;
-  double fanout = -1.0;  ///< Mean dirty anchors per mutation; -1 = n/a.
-};
-
-std::vector<MutationResult> MeasureMutations() {
-  std::vector<MutationResult> results;
-  const Graph g = BenchGraph(8000, 33);
-  // Serving-shaped refresh configuration: every node is an anchor (per-node
-  // anomaly coverage, the dense end of what a daemon hosts), candidate
-  // search is radius-3 local, and the scored group set is capped. This is
-  // the regime the dirty-anchor machinery exists for — a full recompute
-  // resamples all 8000 anchors while one edge flip dirties only the ~190
-  // anchors whose radius-3 ball the edge touches.
-  std::vector<int> anchors(g.num_nodes());
-  std::iota(anchors.begin(), anchors.end(), 0);
+/// The serving-dense refresh configuration shared by the mutation and
+/// durability tables: every node is an anchor (per-node anomaly coverage,
+/// the dense end of what a daemon hosts), candidate search is radius-3
+/// local, and the scored group set is capped. This is the regime the
+/// dirty-anchor machinery exists for — a full recompute resamples all 8000
+/// anchors while one edge flip dirties only the ~190 anchors whose radius-3
+/// ball the edge touches.
+TpGrGadOptions ServingDenseOptions() {
   TpGrGadOptions options;
   options.seed = 29;
   options.sampler.path_mode = PathSearchMode::kUnweighted;
@@ -741,51 +618,49 @@ std::vector<MutationResult> MeasureMutations() {
   options.sampler.max_group_size = 16;
   options.sampler.max_groups = 128;
   options.ReseedStages();
-  const int radius = InvalidationRadius(options.sampler);
+  return options;
+}
 
-  // A deterministic absent edge to churn throughout.
+/// A deterministic absent edge (mu < mv) to churn throughout.
+std::pair<int, int> AbsentEdge(const Graph& g) {
   Rng rng(3);
-  int mu = -1, mv = -1;
-  while (mu < 0) {
+  for (;;) {
     const int a = static_cast<int>(
         rng.UniformInt(static_cast<uint64_t>(g.num_nodes())));
     const int b = static_cast<int>(
         rng.UniformInt(static_cast<uint64_t>(g.num_nodes())));
-    if (a != b && !g.HasEdge(a, b)) {
-      mu = std::min(a, b);
-      mv = std::max(a, b);
-    }
+    if (a != b && !g.HasEdge(a, b)) return {std::min(a, b), std::max(a, b)};
   }
+}
 
-  auto print = [](const MutationResult& r) {
-    if (r.seed_ms > 0.0) {
-      std::printf("  %-24s %-24s seed %8.3f ms   opt %8.3f ms   %.2fx\n",
-                  r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                  r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9));
-    } else {
-      std::printf("  %-24s %-24s                  opt %8.3f ms\n",
-                  r.name.c_str(), r.shape.c_str(), r.opt_ms);
-    }
-  };
+std::vector<Row> MeasureMutations() {
+  std::vector<Row> results;
+  const Graph g = BenchGraph(8000, 33);
+  std::vector<int> anchors(g.num_nodes());
+  std::iota(anchors.begin(), anchors.end(), 0);
+  const TpGrGadOptions options = ServingDenseOptions();
+  const int radius = InvalidationRadius(options.sampler);
+  const std::pair<int, int> edge = AbsentEdge(g);
+  const int mu = edge.first, mv = edge.second;
 
   // apply_edge: one add+remove round trip on the slack CSR vs the pre-PR
   // equivalent, a from-scratch GraphBuilder rebuild of the mutated graph.
   {
     DynamicGraph dg(g);
-    MutationResult r;
+    Row r;
     r.name = "apply_edge";
     r.shape = "n=8000";
     r.seed_ms = MedianMs([&] {
       GraphBuilder b(g.num_nodes());
       g.ForEachEdge([&b](int u, int v) { b.AddEdge(u, v); });
       b.AddEdge(mu, mv);
-      benchmark::DoNotOptimize(b.Build(g.attributes()));
+      DoNotOptimize(b.Build(g.attributes()));
     });
     r.opt_ms = MedianMs([&] {
       dg.AddEdge(mu, mv);
       dg.RemoveEdge(mu, mv);
     });
-    print(r);
+    PrintRow(r);
     results.push_back(std::move(r));
   }
 
@@ -795,16 +670,16 @@ std::vector<MutationResult> MeasureMutations() {
     dg.AddEdge(mu, mv);
     AnchorDirtyTracker tracker;
     tracker.Reset(anchors, radius, g.num_nodes());
-    MutationResult r;
+    Row r;
     r.name = "invalidate";
     r.shape = "n=8000,anchors=8000,r=3";
     int fanout = 0;
     r.opt_ms = MedianMs([&] {
       fanout = tracker.MarkFromEdge(dg, mu, mv);
-      benchmark::DoNotOptimize(fanout);
+      DoNotOptimize(fanout);
     });
     r.fanout = static_cast<double>(fanout);
-    print(r);
+    PrintRow(r);
     std::printf("  %-24s invalidation fanout: %d of %zu anchors\n", "",
                 fanout, anchors.size());
     results.push_back(std::move(r));
@@ -829,7 +704,7 @@ std::vector<MutationResult> MeasureMutations() {
     AnchorDirtyTracker tracker;
     tracker.Reset(anchors, radius, g.num_nodes());
 
-    MutationResult r;
+    Row r;
     r.name = "refresh";
     r.shape = "n=8000,anchors=8000,r=3";
     bool add_next = true;
@@ -870,7 +745,7 @@ std::vector<MutationResult> MeasureMutations() {
                     status.ToString().c_str());
       }
     });
-    print(r);
+    PrintRow(r);
     results.push_back(std::move(r));
   }
   return results;
@@ -885,54 +760,21 @@ std::vector<MutationResult> MeasureMutations() {
 // RefreshArtifacts) — by >= 5x (tools/check_micro.py).
 // ---------------------------------------------------------------------------
 
-std::vector<MutationResult> MeasureDurability() {
-  std::vector<MutationResult> results;
+std::vector<Row> MeasureDurability() {
+  std::vector<Row> results;
   const Graph g = BenchGraph(8000, 33);
   std::vector<int> anchors(g.num_nodes());
   std::iota(anchors.begin(), anchors.end(), 0);
-  TpGrGadOptions options;
-  options.seed = 29;
-  options.sampler.path_mode = PathSearchMode::kUnweighted;
-  options.sampler.pair_radius = 3;
-  options.sampler.cycle_max_len = 3;
-  options.sampler.max_paths_per_anchor = 4;
-  options.sampler.max_cycles_per_anchor = 4;
-  options.sampler.max_group_size = 16;
-  options.sampler.max_groups = 128;
+  TpGrGadOptions options = ServingDenseOptions();
   options.serve_wal_sync_every = 16;
-  options.ReseedStages();
+  const std::pair<int, int> edge = AbsentEdge(g);
+  const int mu = edge.first, mv = edge.second;
 
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "grgad_micro_durability";
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir, ec);
-
-  // A deterministic absent edge to churn (same scheme as the mutation
-  // table).
-  Rng rng(3);
-  int mu = -1, mv = -1;
-  while (mu < 0) {
-    const int a = static_cast<int>(
-        rng.UniformInt(static_cast<uint64_t>(g.num_nodes())));
-    const int b = static_cast<int>(
-        rng.UniformInt(static_cast<uint64_t>(g.num_nodes())));
-    if (a != b && !g.HasEdge(a, b)) {
-      mu = std::min(a, b);
-      mv = std::max(a, b);
-    }
-  }
-
-  auto print = [](const MutationResult& r) {
-    if (r.seed_ms > 0.0) {
-      std::printf("  %-24s %-24s seed %8.3f ms   opt %8.3f ms   %.2fx\n",
-                  r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                  r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9));
-    } else {
-      std::printf("  %-24s %-24s                  opt %8.3f ms\n",
-                  r.name.c_str(), r.shape.c_str(), r.opt_ms);
-    }
-  };
 
   // wal_append: one checksummed record framed + written under the batched
   // fsync policy (every 16th append pays the sync).
@@ -948,7 +790,7 @@ std::vector<MutationResult> MeasureDurability() {
     m.kind = GraphMutation::Kind::kAddEdge;
     m.u = mu;
     m.v = mv;
-    MutationResult r;
+    Row r;
     r.name = "wal_append";
     r.shape = "sync_every=16";
     r.opt_ms = MedianMs([&] {
@@ -957,7 +799,7 @@ std::vector<MutationResult> MeasureDurability() {
         std::printf("  !! wal append failed: %s\n", status.ToString().c_str());
       }
     });
-    print(r);
+    PrintRow(r);
     results.push_back(std::move(r));
   }
 
@@ -982,7 +824,7 @@ std::vector<MutationResult> MeasureDurability() {
   // (packed CSR + artifacts + refresh cache), staged + fsynced + renamed.
   {
     const std::string state_dir = (dir / "snapshot_bench").string();
-    MutationResult r;
+    Row r;
     r.name = "snapshot";
     r.shape = "n=8000,anchors=8000";
     r.opt_ms = MedianMs([&] {
@@ -993,7 +835,7 @@ std::vector<MutationResult> MeasureDurability() {
                     status.ToString().c_str());
       }
     });
-    print(r);
+    PrintRow(r);
     results.push_back(std::move(r));
   }
 
@@ -1029,7 +871,7 @@ std::vector<MutationResult> MeasureDurability() {
       (void)wal.value()->Append(WalRecord::Kind::kRefresh);
       (void)wal.value()->Sync();
     }
-    MutationResult r;
+    Row r;
     r.name = "replay";
     r.shape = "n=8000,anchors=8000,records=17";
     r.opt_ms = MedianMs([&] {
@@ -1049,7 +891,7 @@ std::vector<MutationResult> MeasureDurability() {
         std::printf("  !! replay bench recovery failed: %s\n",
                     recovered.ToString().c_str());
       }
-      benchmark::DoNotOptimize(daemon.artifacts());
+      DoNotOptimize(daemon.artifacts());
     });
     r.seed_ms = MedianMs([&] {
       RefreshState full_state;
@@ -1063,14 +905,71 @@ std::vector<MutationResult> MeasureDurability() {
                     status.ToString().c_str());
       }
     });
-    print(r);
+    PrintRow(r);
     results.push_back(std::move(r));
   }
   std::filesystem::remove_all(dir, ec);
   return results;
 }
 
-void WriteMicroJson() {
+// ---------------------------------------------------------------------------
+// Graph and t-SNE substrates no other table covers: optimized-only timings,
+// reported but not gated -> the "substrates" table.
+// ---------------------------------------------------------------------------
+
+std::vector<Row> MeasureSubstrates() {
+  std::vector<Row> results;
+  {
+    const Graph g = BenchGraph(10000, 7);
+    results.push_back(TimeOnly("bfs_distances", "n=10000",
+                               [&] { DoNotOptimize(BfsDistances(g, 0)); }));
+  }
+  {
+    const Graph g = BenchGraph(2000, 8);
+    results.push_back(
+        TimeOnly("cycles_through", "n=2000,max_len=8,max_cycles=32",
+                 [&] { DoNotOptimize(CyclesThrough(g, 0, 8, 32)); }));
+  }
+  {
+    const Graph g = BenchGraph(5000, 9);
+    results.push_back(TimeOnly("graphsnn_adjacency", "n=5000",
+                               [&] { DoNotOptimize(GraphSnnAdjacency(g)); }));
+  }
+  {
+    const Graph g = BenchGraph(2000, 10);
+    results.push_back(
+        TimeOnly("standardized_power", "n=2000,k=5",
+                 [&] { DoNotOptimize(StandardizedPower(g, 5)); }));
+  }
+  {
+    const Matrix x = RandomMatrix(128, 32, 14);
+    TsneOptions options;
+    options.iterations = 20;
+    results.push_back(TimeOnly("tsne", "128x32,iterations=20",
+                               [&] { DoNotOptimize(Tsne(x, options)); }));
+  }
+  return results;
+}
+
+void WriteRows(JsonWriter* w, const char* table, const std::vector<Row>& rows) {
+  w->Key(table).BeginArray();
+  for (const Row& r : rows) {
+    w->BeginObject().Key("name").String(r.name).Key("shape").String(r.shape);
+    if (r.seed_ms > 0.0) w->Key("seed_ms").Double(r.seed_ms);
+    w->Key("opt_ms").Double(r.opt_ms);
+    if (r.seed_ms > 0.0) w->Key("speedup").Double(Speedup(r));
+    if (r.fanout >= 0.0) w->Key("fanout").Double(r.fanout);
+    if (r.steady_workspace_allocs >= 0) {
+      w->Key("workspace").BeginObject()
+          .Key("steady_heap_allocs").Int(r.steady_workspace_allocs)
+          .EndObject();
+    }
+    w->EndObject();
+  }
+  w->EndArray();
+}
+
+bool WriteMicroJson() {
   // Epochs and candidates are measured FIRST, on a cold allocator: glibc's
   // trim/mmap thresholds ratchet up under the kernel benchmarks' large
   // blocks, after which per-call malloc/free stops hitting the OS, and the
@@ -1082,150 +981,79 @@ void WriteMicroJson() {
   std::printf("Candidate-stage comparison (frozen serial sampler/patterns "
               "vs workspace/view product path), GRGAD_THREADS=%d\n",
               ParallelismDegree());
-  const std::vector<CandidateResult> candidates = CompareCandidateKernels();
+  const std::vector<Row> candidates = CompareCandidateKernels();
   std::printf("Scoring comparison (frozen seed detectors vs GEMM/parallel "
               "product detectors), GRGAD_THREADS=%d\n", ParallelismDegree());
-  const std::vector<ScoringResult> scoring = CompareScoringKernels();
+  const std::vector<Row> scoring = CompareScoringKernels();
   std::printf("Kernel comparison (seed serial reference vs optimized), "
               "GRGAD_THREADS=%d\n", ParallelismDegree());
-  const std::vector<KernelResult> results = CompareKernels();
+  const std::vector<Row> kernels = CompareKernels();
   std::printf("Serve round-trip (resident daemon, rescore over a local "
               "pipe), GRGAD_THREADS=%d\n", ParallelismDegree());
   const std::vector<ServeResult> serve = MeasureServeRoundTrip();
   std::printf("Mutation fast path (slack-CSR apply / ball invalidation / "
               "incremental refresh vs full recompute), GRGAD_THREADS=%d\n",
               ParallelismDegree());
-  const std::vector<MutationResult> mutations = MeasureMutations();
+  const std::vector<Row> mutations = MeasureMutations();
   std::printf("Durability (WAL append / snapshot / crash recovery vs "
               "from-scratch rebuild), GRGAD_THREADS=%d\n",
               ParallelismDegree());
-  const std::vector<MutationResult> durability = MeasureDurability();
+  const std::vector<Row> durability = MeasureDurability();
+  std::printf("Substrates (graph traversal / operators / t-SNE, optimized "
+              "only), GRGAD_THREADS=%d\n", ParallelismDegree());
+  const std::vector<Row> substrates = MeasureSubstrates();
+
+  JsonWriter w;
+  w.BeginObject()
+      .Key("schema").String("grgad-micro-v8")
+      .Key("threads").Int(ParallelismDegree());
+  WriteRows(&w, "candidates", candidates);
+  WriteRows(&w, "kernels", kernels);
+  WriteRows(&w, "scoring", scoring);
+  w.Key("epochs").BeginArray();
+  for (const EpochResult& r : epochs) {
+    w.BeginObject()
+        .Key("name").String(r.name)
+        .Key("shape").String(r.shape)
+        .Key("opt_ms").Double(r.opt_ms)
+        .Key("arena").BeginObject()
+        .Key("warmup_heap_allocs").Uint(r.warmup_heap_allocs)
+        .Key("steady_fit_heap_allocs").Uint(r.steady_heap_allocs)
+        .Key("steady_reused_per_epoch").Uint(r.steady_reused)
+        .Key("steady_bytes_served_per_epoch").Uint(r.steady_bytes_served)
+        .EndObject()
+        .EndObject();
+  }
+  w.EndArray();
+  w.Key("serve").BeginArray();
+  for (const ServeResult& r : serve) {
+    w.BeginObject()
+        .Key("name").String(r.name)
+        .Key("mean_ms").Double(r.mean_ms)
+        .Key("min_ms").Double(r.min_ms)
+        .Key("round_trips").Int(r.round_trips)
+        .EndObject();
+  }
+  w.EndArray();
+  WriteRows(&w, "mutations", mutations);
+  WriteRows(&w, "durability", durability);
+  WriteRows(&w, "substrates", substrates);
+  w.EndObject();
+
   std::error_code ec;
   std::filesystem::create_directories("bench_results", ec);
   const char* path = "bench_results/micro.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
+  std::ofstream out(path, std::ios::trunc);
+  out << w.str() << "\n";
+  if (!out.flush()) {
     std::printf("  !! could not write %s\n", path);
-    return;
+    return false;
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"grgad-micro-v8\",\n");
-  std::fprintf(f, "  \"threads\": %d,\n", ParallelismDegree());
-  std::fprintf(f, "  \"candidates\": [\n");
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const CandidateResult& r = candidates[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"shape\": \"%s\", "
-                 "\"seed_ms\": %.6f, \"opt_ms\": %.6f, \"speedup\": %.3f",
-                 r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                 r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9));
-    if (r.steady_workspace_allocs >= 0) {
-      std::fprintf(f,
-                   ", \"workspace\": {\"steady_heap_allocs\": %lld}",
-                   static_cast<long long>(r.steady_workspace_allocs));
-    }
-    std::fprintf(f, "}%s\n", i + 1 < candidates.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"kernels\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const KernelResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"shape\": \"%s\", "
-                 "\"seed_ms\": %.6f, \"opt_ms\": %.6f, \"speedup\": %.3f}%s\n",
-                 r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                 r.seed_ms / r.opt_ms, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"scoring\": [\n");
-  for (size_t i = 0; i < scoring.size(); ++i) {
-    const ScoringResult& r = scoring[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"shape\": \"%s\", "
-                 "\"seed_ms\": %.6f, \"opt_ms\": %.6f, \"speedup\": %.3f}%s\n",
-                 r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                 r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9),
-                 i + 1 < scoring.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"epochs\": [\n");
-  for (size_t i = 0; i < epochs.size(); ++i) {
-    const EpochResult& r = epochs[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"shape\": \"%s\", \"opt_ms\": %.6f, "
-        "\"arena\": {\"warmup_heap_allocs\": %llu, "
-        "\"steady_fit_heap_allocs\": %llu, "
-        "\"steady_reused_per_epoch\": %llu, "
-        "\"steady_bytes_served_per_epoch\": %llu}}%s\n",
-        r.name.c_str(), r.shape.c_str(), r.opt_ms,
-        static_cast<unsigned long long>(r.warmup_heap_allocs),
-        static_cast<unsigned long long>(r.steady_heap_allocs),
-        static_cast<unsigned long long>(r.steady_reused),
-        static_cast<unsigned long long>(r.steady_bytes_served),
-        i + 1 < epochs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"serve\": [\n");
-  for (size_t i = 0; i < serve.size(); ++i) {
-    const ServeResult& r = serve[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"mean_ms\": %.6f, "
-                 "\"min_ms\": %.6f, \"round_trips\": %d}%s\n",
-                 r.name.c_str(), r.mean_ms, r.min_ms, r.round_trips,
-                 i + 1 < serve.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"mutations\": [\n");
-  for (size_t i = 0; i < mutations.size(); ++i) {
-    const MutationResult& r = mutations[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"shape\": \"%s\"",
-                 r.name.c_str(), r.shape.c_str());
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"seed_ms\": %.6f", r.seed_ms);
-    }
-    std::fprintf(f, ", \"opt_ms\": %.6f", r.opt_ms);
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"speedup\": %.3f",
-                   r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9));
-    }
-    if (r.fanout >= 0.0) std::fprintf(f, ", \"fanout\": %.2f", r.fanout);
-    std::fprintf(f, "}%s\n", i + 1 < mutations.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"durability\": [\n");
-  for (size_t i = 0; i < durability.size(); ++i) {
-    const MutationResult& r = durability[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"shape\": \"%s\"",
-                 r.name.c_str(), r.shape.c_str());
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"seed_ms\": %.6f", r.seed_ms);
-    }
-    std::fprintf(f, ", \"opt_ms\": %.6f", r.opt_ms);
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"speedup\": %.3f",
-                   r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9));
-    }
-    std::fprintf(f, "}%s\n", i + 1 < durability.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
   std::printf("  -> wrote %s\n", path);
+  return true;
 }
 
 }  // namespace
 }  // namespace grgad
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  const char* json_env = std::getenv("GRGAD_MICRO_JSON");
-  if (json_env == nullptr || json_env[0] != '0') {
-    grgad::WriteMicroJson();
-  }
-  const char* only_env = std::getenv("GRGAD_MICRO_JSON_ONLY");
-  if (only_env != nullptr && only_env[0] == '1') return 0;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+int main() { return grgad::WriteMicroJson() ? 0 : 1; }

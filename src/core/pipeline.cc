@@ -22,26 +22,21 @@ TpGrGad::TpGrGad(TpGrGadOptions options) : options_(std::move(options)) {
   }
 }
 
-PipelineArtifacts TpGrGad::Run(const Graph& g) const {
-  GRGAD_CHECK(g.has_attributes());
-  PipelineArtifacts artifacts;
-  const Status status = RunPipelineInto(g, options_, nullptr, &artifacts);
-  // FailedPrecondition (no anchors / nothing to contrast) keeps the
-  // historical contract: return whatever the stages produced, unscored.
-  if (!status.ok() && status.code() != StatusCode::kFailedPrecondition) {
-    GRGAD_LOG(kError) << "TpGrGad::Run: " << status.ToString();
-    GRGAD_CHECK(status.ok());
-  }
-  return artifacts;
-}
-
 Result<PipelineArtifacts> TpGrGad::TryRun(const Graph& g,
                                           RunContext* ctx) const {
   return RunPipeline(g, options_, ctx);
 }
 
 std::vector<ScoredGroup> TpGrGad::DetectGroups(const Graph& g) const {
-  return Run(g).scored_groups;
+  // RunPipelineInto rather than TryRun: on FailedPrecondition it leaves the
+  // candidates it sampled in `artifacts`, unscored.
+  PipelineArtifacts artifacts;
+  const Status status = RunPipelineInto(g, options_, nullptr, &artifacts);
+  if (!status.ok() && status.code() != StatusCode::kFailedPrecondition) {
+    GRGAD_LOG(kError) << "TpGrGad::DetectGroups: " << status.ToString();
+    GRGAD_CHECK(status.ok());
+  }
+  return artifacts.scored_groups;
 }
 
 }  // namespace grgad

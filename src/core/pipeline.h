@@ -5,12 +5,10 @@
 //         --outlier detector (ECOD)--> anomaly scores per group.
 //
 // TpGrGad implements the GroupDetector interface as a thin driver over the
-// Engine stages in stages.h. Run() keeps the historical contract (aborts on
-// programmer error, returns partial artifacts when there is nothing to
-// contrast); TryRun() is the fallible entry point — bad input or mid-run
-// cancellation comes back as a Status — and additionally threads a
-// RunContext through every stage for cancellation, progress callbacks, and
-// per-stage telemetry. Callers who need to start mid-pipeline (e.g. rescore
+// Engine stages in stages.h. TryRun() is the entry point — bad input or
+// mid-run cancellation comes back as a Status — and threads a RunContext
+// through every stage for cancellation, progress callbacks, and per-stage
+// telemetry. Callers who need to start mid-pipeline (e.g. rescore
 // saved embeddings with a different detector) use stages.h directly.
 #ifndef GRGAD_CORE_PIPELINE_H_
 #define GRGAD_CORE_PIPELINE_H_
@@ -31,18 +29,15 @@ class TpGrGad : public GroupDetector {
   /// explicitly are never overwritten.
   explicit TpGrGad(TpGrGadOptions options = {});
 
-  /// Full pipeline with intermediate artifacts. Aborts on programmer error
-  /// (e.g. attribute-less graph); callers needing recoverable errors use
-  /// TryRun().
-  PipelineArtifacts Run(const Graph& g) const;
-
-  /// Fallible full pipeline: empty/attribute-less graphs, no anchors, or
-  /// fewer than two candidate groups return a Status instead of aborting,
+  /// Full pipeline with intermediate artifacts: empty/attribute-less
+  /// graphs, no anchors, or fewer than two candidate groups return a Status,
   /// and `ctx` (optional) provides cancellation + progress + telemetry.
   Result<PipelineArtifacts> TryRun(const Graph& g,
                                    RunContext* ctx = nullptr) const;
 
-  // GroupDetector interface.
+  // GroupDetector interface. When there is nothing to contrast (no anchors,
+  // fewer than two candidates) it returns the sampled candidates unscored;
+  // any other pipeline failure aborts, as the interface has no Status.
   std::vector<ScoredGroup> DetectGroups(const Graph& g) const override;
   std::string Name() const override { return "tp-grgad"; }
 

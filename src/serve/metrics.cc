@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/graph/traversal_workspace.h"
-#include "src/serve/request.h"
 
 namespace grgad {
 namespace {
@@ -16,13 +14,6 @@ constexpr double kLatencyUppersMs[] = {1,   2,    5,    10,   25,   50,  100,
                                        250, 500,  1000, 2500, 5000, 10000};
 constexpr size_t kNumLatencyUppers =
     sizeof(kLatencyUppersMs) / sizeof(kLatencyUppersMs[0]);
-
-std::string Num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -138,126 +129,119 @@ void ServeMetrics::RecordDurabilityError(const Status& status) {
   last_durability_error_ = status.ToString();
 }
 
-std::string ServeMetrics::SnapshotJson(size_t queue_depth,
-                                       const MatrixArena* arena) const {
+void ServeMetrics::WriteJson(JsonWriter* w, size_t queue_depth,
+                             const MatrixArena* arena) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"schema\": \"grgad-serve-metrics-v3\"";
+  w->BeginObject().Key("schema").String("grgad-serve-metrics-v3");
 
-  out += ", \"queue\": {\"capacity\": " + std::to_string(queue_capacity_) +
-         ", \"depth\": " + std::to_string(queue_depth) +
-         ", \"peak_depth\": " + std::to_string(peak_depth_) +
-         ", \"admitted\": " + std::to_string(admitted_) +
-         ", \"rejected\": " + std::to_string(rejected_) + "}";
+  w->Key("queue").BeginObject()
+      .Key("capacity").Uint(queue_capacity_)
+      .Key("depth").Uint(queue_depth)
+      .Key("peak_depth").Uint(peak_depth_)
+      .Key("admitted").Uint(admitted_)
+      .Key("rejected").Uint(rejected_)
+      .EndObject();
 
-  out += ", \"requests\": {\"total\": ";
-  out += std::to_string(requests_);
-  out += ", \"errors\": ";
-  out += std::to_string(request_errors_);
-  out += ", \"by_op\": {";
-  bool first = true;
+  w->Key("requests").BeginObject()
+      .Key("total").Uint(requests_)
+      .Key("errors").Uint(request_errors_)
+      .Key("by_op").BeginObject();
   for (const auto& [op, stats] : by_op_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"";
-    out += JsonEscapeText(op);
-    out += "\": {\"count\": ";
-    out += std::to_string(stats.count);
-    out += ", \"errors\": ";
-    out += std::to_string(stats.errors);
-    out += ", \"total_ms\": ";
-    out += Num(stats.total_ms);
-    out += "}";
+    w->Key(op).BeginObject()
+        .Key("count").Uint(stats.count)
+        .Key("errors").Uint(stats.errors)
+        .Key("total_ms").Double(stats.total_ms)
+        .EndObject();
   }
-  out += "}}";
+  w->EndObject().EndObject();
 
   const double mean_batch =
       batches_ > 0
           ? static_cast<double>(batched_requests_) / static_cast<double>(batches_)
           : 0.0;
-  out += ", \"batches\": {\"count\": " + std::to_string(batches_) +
-         ", \"max_size\": " + std::to_string(max_batch_size_) +
-         ", \"mean_size\": " + Num(mean_batch) +
-         ", \"exec_seconds\": " + Num(batch_exec_seconds_) + "}";
+  w->Key("batches").BeginObject()
+      .Key("count").Uint(batches_)
+      .Key("max_size").Uint(max_batch_size_)
+      .Key("mean_size").Double(mean_batch)
+      .Key("exec_seconds").Double(batch_exec_seconds_)
+      .EndObject();
 
-  out += ", \"latency_ms\": {\"buckets\": [";
+  // The last bucket's bound is +inf, which the writer renders as null.
+  w->Key("latency_ms").BeginObject().Key("buckets").BeginArray();
   for (size_t i = 0; i < latency_buckets_.size(); ++i) {
-    if (i) out += ", ";
-    out += "{\"le\": ";
-    out += i < kNumLatencyUppers ? Num(kLatencyUppersMs[i]) : "null";
-    out += ", \"count\": " + std::to_string(latency_buckets_[i]) + "}";
+    w->BeginObject()
+        .Key("le").Double(i < kNumLatencyUppers ? kLatencyUppersMs[i]
+                                                : HUGE_VAL)
+        .Key("count").Uint(latency_buckets_[i])
+        .EndObject();
   }
-  out += "], \"max_ms\": ";
-  out += Num(max_latency_ms_);
-  out += ", \"total_ms\": ";
-  out += Num(total_latency_ms_);
-  out += "}";
+  w->EndArray()
+      .Key("max_ms").Double(max_latency_ms_)
+      .Key("total_ms").Double(total_latency_ms_)
+      .EndObject();
 
-  out += ", \"stages\": {";
-  first = true;
+  w->Key("stages").BeginObject();
   for (const auto& [stage, stats] : by_stage_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"";
-    out += JsonEscapeText(stage);
-    out += "\": {\"count\": ";
-    out += std::to_string(stats.count);
-    out += ", \"seconds\": ";
-    out += Num(stats.seconds);
-    out += "}";
+    w->Key(stage).BeginObject()
+        .Key("count").Uint(stats.count)
+        .Key("seconds").Double(stats.seconds)
+        .EndObject();
   }
-  out += "}";
+  w->EndObject();
 
-  out += ", \"mutations\": {\"total\": " + std::to_string(mutations_) +
-         ", \"applied\": " + std::to_string(mutations_applied_) +
-         ", \"fanout_total\": " + std::to_string(fanout_total_) +
-         ", \"fanout_max\": " + std::to_string(fanout_max_) +
-         ", \"refreshes\": " + std::to_string(refreshes_) +
-         ", \"refreshed_anchors\": " + std::to_string(refreshed_anchors_) +
-         ", \"reused_anchors\": " + std::to_string(reused_anchors_) + "}";
+  w->Key("mutations").BeginObject()
+      .Key("total").Uint(mutations_)
+      .Key("applied").Uint(mutations_applied_)
+      .Key("fanout_total").Uint(fanout_total_)
+      .Key("fanout_max").Uint(fanout_max_)
+      .Key("refreshes").Uint(refreshes_)
+      .Key("refreshed_anchors").Uint(refreshed_anchors_)
+      .Key("reused_anchors").Uint(reused_anchors_)
+      .EndObject();
 
-  out += std::string(", \"durability\": {\"enabled\": ") +
-         (durability_enabled_ ? "true" : "false") +
-         ", \"wal_appends\": " + std::to_string(wal_appends_) +
-         ", \"wal_bytes\": " + std::to_string(wal_bytes_) +
-         ", \"fsyncs\": " + std::to_string(fsyncs_) +
-         ", \"snapshots\": " + std::to_string(snapshots_) +
-         ", \"wal_seq\": " + std::to_string(wal_seq_) +
-         ", \"replayed_records\": " + std::to_string(replayed_records_) +
-         ", \"truncated_tail_records\": " +
-         std::to_string(truncated_tail_records_) +
-         ", \"errors\": " + std::to_string(durability_errors_) +
-         ", \"last_error\": \"" + JsonEscapeText(last_durability_error_) +
-         "\"}";
+  w->Key("durability").BeginObject()
+      .Key("enabled").Bool(durability_enabled_)
+      .Key("wal_appends").Uint(wal_appends_)
+      .Key("wal_bytes").Uint(wal_bytes_)
+      .Key("fsyncs").Uint(fsyncs_)
+      .Key("snapshots").Uint(snapshots_)
+      .Key("wal_seq").Uint(wal_seq_)
+      .Key("replayed_records").Uint(replayed_records_)
+      .Key("truncated_tail_records").Uint(truncated_tail_records_)
+      .Key("errors").Uint(durability_errors_)
+      .Key("last_error").String(last_durability_error_)
+      .EndObject();
 
-  out += ", \"workspace\": {\"total_heap_allocs\": " +
-         std::to_string(TraversalWorkspace::TotalHeapAllocs()) + "}";
+  w->Key("workspace").BeginObject()
+      .Key("total_heap_allocs").Uint(TraversalWorkspace::TotalHeapAllocs())
+      .EndObject();
 
-  out += ", \"arena\": {";
+  w->Key("arena").BeginObject();
   if (arena != nullptr) {
     const MatrixArena::Stats stats = arena->stats();
-    out += "\"acquired\": " + std::to_string(stats.acquired) +
-           ", \"reused\": " + std::to_string(stats.reused) +
-           ", \"heap_allocs\": " + std::to_string(stats.heap_allocs) +
-           ", \"released\": " + std::to_string(stats.released) +
-           ", \"bytes_served\": " + std::to_string(stats.bytes_served) +
-           ", \"heap_bytes\": " + std::to_string(stats.heap_bytes);
+    w->Key("acquired").Uint(stats.acquired)
+        .Key("reused").Uint(stats.reused)
+        .Key("heap_allocs").Uint(stats.heap_allocs)
+        .Key("released").Uint(stats.released)
+        .Key("bytes_served").Uint(stats.bytes_served)
+        .Key("heap_bytes").Uint(stats.heap_bytes);
   }
-  out += "}";
+  w->EndObject();
 
   // Chronological ring dump: oldest surviving batch first.
-  out += ", \"timeline\": [";
+  w->Key("timeline").BeginArray();
   const size_t n = timeline_.size();
   const size_t start = n < timeline_capacity_ ? 0 : timeline_next_;
   for (size_t i = 0; i < n; ++i) {
     const BatchSample& s = timeline_[(start + i) % n];
-    if (i) out += ", ";
-    out += "{\"batch\": " + std::to_string(s.batch) +
-           ", \"size\": " + std::to_string(s.size) +
-           ", \"depth_at_drain\": " + std::to_string(s.depth_at_drain) +
-           ", \"seconds\": " + Num(s.seconds) + "}";
+    w->BeginObject()
+        .Key("batch").Uint(s.batch)
+        .Key("size").Uint(s.size)
+        .Key("depth_at_drain").Uint(s.depth_at_drain)
+        .Key("seconds").Double(s.seconds)
+        .EndObject();
   }
-  out += "]}";
-  return out;
+  w->EndArray().EndObject();
 }
 
 }  // namespace grgad

@@ -5,7 +5,7 @@
 // aggregates, cheap enough to leave enabled (a few counter bumps per
 // request; the pipeline's own telemetry arrives for free via RunContext
 // stage timings). A `stats` request — or the --metrics-out dump at
-// shutdown — renders SnapshotJson(): one self-describing JSON object
+// shutdown — renders WriteJson(): one self-describing JSON object
 // ("grgad-serve-metrics-v3", schema documented in PERF.md) with queue
 // gauges, per-op request counts + latency aggregates, batch-size stats, a
 // log-spaced request latency histogram, per-(sub-)stage wall-time
@@ -25,6 +25,7 @@
 
 #include "src/core/run_context.h"
 #include "src/tensor/arena.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace grgad {
@@ -91,10 +92,12 @@ class ServeMetrics {
   /// degraded but kept serving.
   void RecordDurabilityError(const Status& status);
 
-  /// The live snapshot. `queue_depth` is sampled by the caller (the queue
-  /// owns it); `arena` contributes the shared warm-buffer stats (nullptr
-  /// omits the section's counters but keeps the key).
-  std::string SnapshotJson(size_t queue_depth, const MatrixArena* arena) const;
+  /// Writes the live snapshot as one JSON object value. `queue_depth` is
+  /// sampled by the caller (the queue owns it); `arena` contributes the
+  /// shared warm-buffer stats (nullptr omits the section's counters but
+  /// keeps the key).
+  void WriteJson(JsonWriter* w, size_t queue_depth,
+                 const MatrixArena* arena) const;
 
  private:
   struct OpStats {

@@ -43,37 +43,13 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/core/artifacts.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace grgad {
-
-// ---- minimal JSON value + parser (no third-party deps) ----------------------
-
-/// A parsed JSON value. Numbers are doubles (the wire format never needs
-/// integers beyond 2^53); object members keep insertion order.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// The named object member, or nullptr (also for non-objects).
-  const JsonValue* Find(const std::string& key) const;
-};
-
-/// Parses one complete JSON document (trailing garbage is an error).
-/// InvalidArgument with position info on malformed input.
-Result<JsonValue> ParseJsonText(const std::string& text);
-
-/// Escapes `s` for embedding inside a JSON string literal (no quotes).
-std::string JsonEscapeText(const std::string& s);
 
 // ---- requests ---------------------------------------------------------------
 
@@ -116,7 +92,21 @@ struct ServeRequest {
 /// requirements (rescore needs "detector").
 Result<ServeRequest> ParseServeRequest(const std::string& line);
 
+/// Best-effort request id from a line whose full validation failed, so the
+/// error response still correlates: -1 unless the line parses and its "id"
+/// passes the same non-negative integer check ParseServeRequest applies.
+int64_t SalvageRequestId(const std::string& line);
+
 // ---- responses --------------------------------------------------------------
+
+/// Writes the `top` highest-scored groups (stable by score, descending) as
+/// [{"score", "nodes"}, ...] — the one top-groups rendering, shared by the
+/// serve responses and the CLI's result documents.
+void WriteTopGroups(JsonWriter* w, std::vector<ScoredGroup> groups, int top);
+
+/// A writer holding the open response object {"id", "op", "status"}; the
+/// caller adds its members and closes it.
+JsonWriter BeginResponse(int64_t id, const char* op, const char* status);
 
 /// {"id", "op": "anchor-score", "status": "ok", num_anchors, num_groups,
 ///  top_groups} for a full-pipeline result.
@@ -155,6 +145,9 @@ std::string RenderSyncResponse(int64_t id, uint64_t wal_seq);
 /// {"id", "op": "snapshot", "status": "ok", wal_seq} after a forced
 /// snapshot (wal_seq = the high-water mark the snapshot covers).
 std::string RenderSnapshotResponse(int64_t id, uint64_t wal_seq);
+
+/// {"id", "op": "shutdown", "status": "ok", "draining": true}.
+std::string RenderShutdownResponse(int64_t id);
 
 /// {"id", "op", "status": "<StatusCodeName>", "error": "..."} — the
 /// per-request failure surface (deadline expiry, injected faults, bad

@@ -1,7 +1,6 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <thread>
 #include <utility>
@@ -13,19 +12,6 @@
 
 namespace grgad {
 namespace {
-
-/// Best-effort request id from a line whose full validation failed, so the
-/// error response still correlates (-1 when even that much is unreadable).
-int64_t SalvageRequestId(const std::string& line) {
-  auto parsed = ParseJsonText(line);
-  if (!parsed.ok()) return -1;
-  const JsonValue* id = parsed.value().Find("id");
-  if (id == nullptr || id->kind != JsonValue::Kind::kNumber ||
-      id->number != std::floor(id->number) || id->number < 0) {
-    return -1;
-  }
-  return static_cast<int64_t>(id->number);
-}
 
 bool BlankLine(const std::string& line) {
   return line.find_first_not_of(" \t\r") == std::string::npos;
@@ -233,9 +219,15 @@ void ServeDaemon::MaybeSnapshot() {
   }
 }
 
-std::string ServeDaemon::MetricsJson() const {
+void ServeDaemon::WriteMetrics(JsonWriter* w) const {
   RequestQueue* queue = live_queue_.load(std::memory_order_acquire);
-  return metrics_.SnapshotJson(queue != nullptr ? queue->depth() : 0, &arena_);
+  metrics_.WriteJson(w, queue != nullptr ? queue->depth() : 0, &arena_);
+}
+
+std::string ServeDaemon::MetricsJson() const {
+  JsonWriter w;
+  WriteMetrics(&w);
+  return w.str();
 }
 
 Status ServeDaemon::Serve(LineChannel* channel, const CancelToken& stop) {
@@ -425,16 +417,15 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         break;
       }
       case ServeOp::kStats: {
-        response = "{\"id\": " + std::to_string(request.id) +
-                   ", \"op\": \"stats\", \"status\": \"ok\", \"metrics\": " +
-                   MetricsJson() + "}";
+        JsonWriter w = BeginResponse(request.id, "stats", "ok");
+        w.Key("metrics");
+        WriteMetrics(&w);
+        response = w.EndObject().str();
         break;
       }
       case ServeOp::kShutdown: {
         shutdown_.store(true, std::memory_order_relaxed);
-        response = "{\"id\": " + std::to_string(request.id) +
-                   ", \"op\": \"shutdown\", \"status\": \"ok\", "
-                   "\"draining\": true}";
+        response = RenderShutdownResponse(request.id);
         break;
       }
       case ServeOp::kAddEdge:

@@ -132,6 +132,9 @@ class ServeDaemon {
  private:
   void ExecuteLoop(RequestQueue* queue, LineChannel* channel);
 
+  /// The metrics snapshot as one JSON value, with the live queue depth.
+  void WriteMetrics(JsonWriter* w) const;
+
   /// Weighted-path-mode fallback: ball invalidation is unsound there, so
   /// every mutation dirties every anchor. Returns the fanout (all anchors).
   int MarkAllAnchors();

@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <climits>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -77,34 +76,31 @@ bool ParseWalPayload(const std::string& payload, WalRecord* out) {
   return false;
 }
 
+/// One record as Append writes it, without the trailing newline:
+/// `<seq> <len> <fnv1a-hex> <payload>`.
+std::string WalFrame(uint64_t seq, std::string_view payload) {
+  std::string frame = std::to_string(seq) + " " +
+                      std::to_string(payload.size()) + " " +
+                      HexU64(Fnv1a64(payload)) + " ";
+  frame += payload;
+  return frame;
+}
+
 /// Parses one record line (without the trailing newline). Valid iff the
-/// frame is well-formed, the length prefix matches the payload size, the
-/// checksum matches, and the seq continues the chain.
-bool ParseWalLine(const std::string& line, uint64_t expected_seq,
+/// seq continues the chain and re-framing the trailing `len` payload bytes
+/// reproduces the line exactly — so the length prefix, the checksum and the
+/// single-space framing all match, and a sign, a leading zero or any other
+/// spelling Append never writes is a malformed record.
+bool ParseWalLine(std::string_view line, uint64_t expected_seq,
                   WalRecord* out) {
-  // <seq> <len> <hex> <payload> — split on the first three spaces only;
-  // the payload may contain spaces itself.
-  const size_t s1 = line.find(' ');
-  if (s1 == std::string::npos) return false;
-  const size_t s2 = line.find(' ', s1 + 1);
-  if (s2 == std::string::npos) return false;
-  const size_t s3 = line.find(' ', s2 + 1);
-  if (s3 == std::string::npos) return false;
-  const std::string seq_str = line.substr(0, s1);
-  const std::string len_str = line.substr(s1 + 1, s2 - s1 - 1);
-  const std::string hex_str = line.substr(s2 + 1, s3 - s2 - 1);
-  const std::string payload = line.substr(s3 + 1);
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t seq = std::strtoull(seq_str.c_str(), &end, 10);
-  if (end == seq_str.c_str() || *end != '\0' || errno == ERANGE) return false;
-  errno = 0;
-  const uint64_t len = std::strtoull(len_str.c_str(), &end, 10);
-  if (end == len_str.c_str() || *end != '\0' || errno == ERANGE) return false;
-  if (seq != expected_seq) return false;
-  if (payload.size() != len) return false;
-  if (HexU64(Fnv1a64(payload)) != hex_str) return false;
-  if (!ParseWalPayload(payload, out)) return false;
+  TokenScanner in(line);
+  uint64_t seq = 0;
+  uint64_t len = 0;
+  if (!in.U64(&seq) || !in.U64(&len)) return false;
+  if (seq != expected_seq || len >= line.size()) return false;
+  const std::string_view payload = line.substr(line.size() - len);
+  if (WalFrame(seq, payload) != line) return false;
+  if (!ParseWalPayload(std::string(payload), out)) return false;
   out->seq = seq;
   return true;
 }
@@ -235,14 +231,16 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
         text.rfind(kWalHeaderPrefix, 0) != 0) {
       return Status::DataLoss("wal: bad or missing header: " + path);
     }
-    const std::string base_str(text, std::strlen(kWalHeaderPrefix),
-                               header_nl - std::strlen(kWalHeaderPrefix));
-    char* end = nullptr;
-    errno = 0;
-    wal->open_stats_.base = std::strtoull(base_str.c_str(), &end, 10);
-    if (end == base_str.c_str() || *end != '\0' || errno == ERANGE) {
+    // The base must read back as exactly the header ResetTo writes: no
+    // sign, no padding.
+    const size_t prefix = std::strlen(kWalHeaderPrefix);
+    uint64_t base = 0;
+    if (!TokenScanner(std::string_view(text).substr(prefix, header_nl - prefix))
+             .U64(&base) ||
+        text.compare(0, header_nl + 1, WalHeaderLine(base)) != 0) {
       return Status::DataLoss("wal: bad header base: " + path);
     }
+    wal->open_stats_.base = base;
     wal->last_seq_ = wal->open_stats_.base;
     // Records: each must be a complete newline-terminated valid frame that
     // continues the seq chain; the first failure truncates the file there.
@@ -252,8 +250,8 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
       const size_t nl = text.find('\n', offset);
       if (nl == std::string::npos) break;  // Torn trailing partial line.
       WalRecord record;
-      if (!ParseWalLine(text.substr(offset, nl - offset), wal->last_seq_ + 1,
-                        &record)) {
+      if (!ParseWalLine(std::string_view(text).substr(offset, nl - offset),
+                        wal->last_seq_ + 1, &record)) {
         break;
       }
       wal->records_.push_back(record);
@@ -303,9 +301,7 @@ Status WriteAheadLog::Append(WalRecord::Kind kind,
   GRGAD_RETURN_IF_ERROR(FaultInjector::Global().Check("wal/pre-append"));
   const std::string payload = WalPayload(kind, mutation);
   const uint64_t seq = last_seq_ + 1;
-  const std::string frame = std::to_string(seq) + " " +
-                            std::to_string(payload.size()) + " " +
-                            HexU64(Fnv1a64(payload)) + " " + payload + "\n";
+  const std::string frame = WalFrame(seq, payload) + "\n";
   struct stat st;
   if (::fstat(fd_, &st) != 0) {
     return Status::IoError("wal: fstat failed: " + path_);

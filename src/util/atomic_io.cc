@@ -25,7 +25,7 @@ std::string FormatDoubleBits(double v) {
   return HexU64(bits);
 }
 
-uint64_t Fnv1a64(const std::string& s) {
+uint64_t Fnv1a64(std::string_view s) {
   uint64_t h = 1469598103934665603ULL;
   for (unsigned char c : s) {
     h ^= c;

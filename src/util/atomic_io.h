@@ -55,7 +55,7 @@ std::string FormatDoubleBits(double v);
 
 /// FNV-1a 64 over the bytes of `s` (the checksum recorded by manifests and
 /// WAL records).
-uint64_t Fnv1a64(const std::string& s);
+uint64_t Fnv1a64(std::string_view s);
 
 /// Lower-case, zero-padded 16-digit hex of `v` (checksum wire form).
 std::string HexU64(uint64_t v);

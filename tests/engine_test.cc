@@ -63,15 +63,22 @@ std::string TempDir(const std::string& name) {
 // ---- stage decomposition ----------------------------------------------------
 
 TEST(EngineStagesTest, StageByStageMatchesRunBitForBit) {
-  // The legacy monolithic Run(), the fallible TryRun(), and a hand-driven
-  // stage-by-stage execution must all produce byte-identical artifacts.
+  // TryRun(), the GroupDetector entry point DetectGroups(), and a
+  // hand-driven stage-by-stage execution must all produce byte-identical
+  // results.
   const Dataset d = GenExampleGraph({});
   const TpGrGadOptions options = QuickOptions();
-  const PipelineArtifacts via_run = TpGrGad(options).Run(d.graph);
-
   auto via_tryrun = TpGrGad(options).TryRun(d.graph);
   ASSERT_TRUE(via_tryrun.ok()) << via_tryrun.status().ToString();
-  ExpectArtifactsIdentical(via_run, via_tryrun.value());
+  const PipelineArtifacts& via_run = via_tryrun.value();
+
+  const std::vector<ScoredGroup> detected =
+      TpGrGad(options).DetectGroups(d.graph);
+  ASSERT_EQ(detected.size(), via_run.scored_groups.size());
+  for (size_t i = 0; i < detected.size(); ++i) {
+    EXPECT_EQ(detected[i].nodes, via_run.scored_groups[i].nodes);
+    EXPECT_EQ(detected[i].score, via_run.scored_groups[i].score);
+  }
 
   PipelineArtifacts manual;
   manual.seed = options.seed;  // Provenance travels with the artifacts.

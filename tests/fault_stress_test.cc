@@ -1,9 +1,11 @@
 // Randomized fault-injection stress harness (the ISSUE's acceptance gate):
-// sweep many fault seeds through the full pipeline and the artifact store
-// and assert the three robustness invariants under every seed —
+// sweep many fault seeds through the full pipeline, the artifact store and
+// the serve snapshot store, and assert the three robustness invariants
+// under every seed —
 //   1. no crash: every run ends in ok() or a typed Status,
-//   2. no torn state: artifact directories always either load in full or
-//      report NotFound; no `.tmp` / `.old` staging residue survives,
+//   2. no torn state: artifact and snapshot directories always load in
+//      full, as the new or the previous generation; no `.tmp` / `.old`
+//      staging residue survives,
 //   3. no silent drift: a run where no fault fired is bitwise identical to
 //      the injector-off baseline.
 // Seed count defaults to 50; CI and local soak runs override it with
@@ -20,6 +22,7 @@
 #include "src/core/pipeline.h"
 #include "src/core/run_context.h"
 #include "src/data/example_graph.h"
+#include "src/serve/wal.h"
 #include "src/tensor/matrix.h"
 #include "src/util/fault.h"
 #include "src/util/status.h"
@@ -180,6 +183,69 @@ TEST_F(FaultStressTest, ArtifactStoreSurvivesEveryFaultSeed) {
     EXPECT_GT(committed_saves, 0) << "fault rates never allowed a save";
   }
   fs::remove_all(dir);
+}
+
+TEST_F(FaultStressTest, ServeSnapshotSurvivesEveryFaultSeed) {
+  // The nested layout: one ReplaceDir staging <state>/snapshot.tmp that holds
+  // a manifest directory, an artifact store inside it, and the snapshot/mid
+  // kill point between the two.
+  const fs::path state_dir = TempDir("snapshot");
+  const std::string snap_dir = (state_dir / "snapshot").string();
+  const Dataset d = GenExampleGraph({});
+  FaultInjector::Global().Disable();
+  const auto trained = TpGrGad(QuickOptions(7)).TryRun(d.graph);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  ServeStateSnapshot state;
+  state.dirty_anchor_indices = {0, 2};
+
+  // A committed snapshot at wal_seq 0; each seed tries to replace it with
+  // one whose wal_seq names the seed.
+  ASSERT_TRUE(SaveServeSnapshot(state_dir.string(), d.graph, trained.value(),
+                                state, 0)
+                  .ok());
+  const int seeds = StressSeeds();
+  int failed_saves = 0;
+  int committed_saves = 0;
+  uint64_t committed_seq = 0;
+  for (int seed = 0; seed < seeds; ++seed) {
+    const uint64_t seq = static_cast<uint64_t>(seed) + 1;
+    ASSERT_TRUE(FaultInjector::Global()
+                    .Configure("seed=" + std::to_string(seed) +
+                               ",artifact/write=0.05,artifact/fsync=0.05,"
+                               "artifact/rename=0.1,snapshot/mid=0.1")
+                    .ok());
+    const Status save = SaveServeSnapshot(state_dir.string(), d.graph,
+                                          trained.value(), state, seq);
+    FaultInjector::Global().Disable();
+
+    EXPECT_FALSE(fs::exists(snap_dir + ".tmp")) << "seed " << seed;
+    EXPECT_FALSE(fs::exists(snap_dir + ".old")) << "seed " << seed;
+
+    // Either the new snapshot committed, or the previous one still loads.
+    const auto loaded = LoadServeSnapshot(state_dir.string());
+    ASSERT_TRUE(loaded.ok())
+        << "seed " << seed << ": " << loaded.status().ToString();
+    if (save.ok()) {
+      committed_seq = seq;
+      ++committed_saves;
+    } else {
+      EXPECT_FALSE(save.message().empty()) << "seed " << seed;
+      ++failed_saves;
+    }
+    EXPECT_EQ(loaded.value().wal_seq, committed_seq) << "seed " << seed;
+    EXPECT_TRUE(ArtifactsIdentical(loaded.value().artifacts, trained.value()))
+        << "seed " << seed << " left torn snapshot artifacts";
+    EXPECT_EQ(loaded.value().state.dirty_anchor_indices,
+              state.dirty_anchor_indices)
+        << "seed " << seed;
+    EXPECT_EQ(loaded.value().graph.num_edges(), d.graph.num_edges())
+        << "seed " << seed;
+  }
+  if (seeds >= 50) {
+    EXPECT_GT(failed_saves, 0) << "fault rates never failed a snapshot";
+    EXPECT_GT(committed_saves, 0) << "fault rates never allowed a snapshot";
+  }
+  fs::remove_all(state_dir);
 }
 
 }  // namespace

@@ -26,11 +26,20 @@ TpGrGadOptions QuickOptions(uint64_t seed = 42, bool reseed = true) {
   return options;
 }
 
+/// TryRun's artifacts; a failed run fails the test and yields none.
+PipelineArtifacts MustRun(const TpGrGadOptions& options, const Graph& g) {
+  auto result = TpGrGad(options).TryRun(g);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? std::move(result).value() : PipelineArtifacts();
+}
+
 TEST(PipelineTest, ProducesScoredGroups) {
   const Dataset d = GenExampleGraph({});
   TpGrGad method(QuickOptions());
   EXPECT_EQ(method.Name(), "tp-grgad");
-  const PipelineArtifacts artifacts = method.Run(d.graph);
+  auto result = method.TryRun(d.graph);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const PipelineArtifacts& artifacts = result.value();
   EXPECT_FALSE(artifacts.anchors.empty());
   EXPECT_GE(artifacts.candidate_groups.size(), 2u);
   EXPECT_EQ(artifacts.group_scores.size(), artifacts.candidate_groups.size());
@@ -44,8 +53,8 @@ TEST(PipelineTest, ProducesScoredGroups) {
 
 TEST(PipelineTest, DeterministicGivenSeed) {
   const Dataset d = GenExampleGraph({});
-  const auto a = TpGrGad(QuickOptions(7)).Run(d.graph);
-  const auto b = TpGrGad(QuickOptions(7)).Run(d.graph);
+  const PipelineArtifacts a = MustRun(QuickOptions(7), d.graph);
+  const PipelineArtifacts b = MustRun(QuickOptions(7), d.graph);
   ASSERT_EQ(a.scored_groups.size(), b.scored_groups.size());
   for (size_t i = 0; i < a.scored_groups.size(); ++i) {
     EXPECT_EQ(a.scored_groups[i].nodes, b.scored_groups[i].nodes);
@@ -58,10 +67,10 @@ TEST(PipelineTest, ConstructorPropagatesSeedWithoutReseedStages) {
   // options (seed set, ReseedStages forgotten) must agree with one built
   // from explicitly reseeded options — the constructor propagates.
   const Dataset d = GenExampleGraph({});
-  const auto forgot =
-      TpGrGad(QuickOptions(7, /*reseed=*/false)).Run(d.graph);
-  const auto reseeded =
-      TpGrGad(QuickOptions(7, /*reseed=*/true)).Run(d.graph);
+  const PipelineArtifacts forgot =
+      MustRun(QuickOptions(7, /*reseed=*/false), d.graph);
+  const PipelineArtifacts reseeded =
+      MustRun(QuickOptions(7, /*reseed=*/true), d.graph);
   ASSERT_EQ(forgot.scored_groups.size(), reseeded.scored_groups.size());
   for (size_t i = 0; i < forgot.scored_groups.size(); ++i) {
     EXPECT_EQ(forgot.scored_groups[i].nodes, reseeded.scored_groups[i].nodes);
@@ -111,7 +120,7 @@ TEST(PipelineTest, AblationWithoutTpgclRuns) {
   const Dataset d = GenExampleGraph({});
   TpGrGadOptions options = QuickOptions();
   options.disable_tpgcl = true;
-  const PipelineArtifacts artifacts = TpGrGad(options).Run(d.graph);
+  const PipelineArtifacts artifacts = MustRun(options, d.graph);
   EXPECT_EQ(artifacts.group_embeddings.cols(), d.graph.attr_dim());
   EXPECT_TRUE(artifacts.tpgcl_loss_history.empty());
   EXPECT_EQ(artifacts.group_scores.size(), artifacts.candidate_groups.size());

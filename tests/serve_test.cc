@@ -13,7 +13,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -459,6 +461,170 @@ TEST(ServeTest, MutationSessionRefreshesAndReportsMetrics) {
   EXPECT_EQ(daemon->dynamic_graph().num_edges(),
             TestDataset().graph.num_edges());
   EXPECT_EQ(daemon->dynamic_graph().stats().compactions, 1u);
+}
+
+// ---- wire bytes -------------------------------------------------------------
+
+TEST(ServeTest, ResponseBytesArePinned) {
+  // Every renderer on fixed inputs, byte for byte: 17-digit scores, null for
+  // non-finite ones, stable descending order, top clamping, and escapes.
+  const std::vector<ScoredGroup> scored = {
+      {{3, 7, 11}, 0.1},
+      {{1, 2}, 1.0 / 3.0},
+      {{5}, -2.5e-300},
+      {{8, 9}, 0.1},
+      {{4}, 12345678.875},
+      {{6, 10}, -std::numeric_limits<double>::infinity()}};
+  PipelineArtifacts artifacts;
+  artifacts.anchors = {1, 2, 3};
+  artifacts.candidate_groups = {{1}, {2}, {3}, {4}, {5}, {6}};
+  artifacts.scored_groups = scored;
+  EXPECT_EQ(RenderAnchorScoreResponse(7, artifacts, 3),
+            R"({"id": 7, "op": "anchor-score", "status": "ok", )"
+            R"("num_anchors": 3, "num_groups": 6, "top_groups": [)"
+            R"({"score": 12345678.875, "nodes": [4]}, )"
+            R"({"score": 0.33333333333333331, "nodes": [1, 2]}, )"
+            R"({"score": 0.10000000000000001, "nodes": [3, 7, 11]}]})");
+  EXPECT_EQ(RenderScoredGroupsResponse(8, ServeOp::kRescore, scored, 10),
+            R"({"id": 8, "op": "rescore", "status": "ok", "num_groups": 6, )"
+            R"("top_groups": [{"score": 12345678.875, "nodes": [4]}, )"
+            R"({"score": 0.33333333333333331, "nodes": [1, 2]}, )"
+            R"({"score": 0.10000000000000001, "nodes": [3, 7, 11]}, )"
+            R"({"score": 0.10000000000000001, "nodes": [8, 9]}, )"
+            R"({"score": -2.5e-300, "nodes": [5]}, )"
+            R"({"score": null, "nodes": [6, 10]}]})");
+  EXPECT_EQ(RenderScoredGroupsResponse(9, ServeOp::kWhatIf,
+                                       {{{6}, std::nan("")}}, 1),
+            R"({"id": 9, "op": "what-if", "status": "ok", "num_groups": 1, )"
+            R"("top_groups": [{"score": null, "nodes": [6]}]})");
+  EXPECT_EQ(RenderScoredGroupsResponse(9, ServeOp::kWhatIf, scored, 0),
+            R"({"id": 9, "op": "what-if", "status": "ok", "num_groups": 6, )"
+            R"("top_groups": []})");
+  EXPECT_EQ(RenderMutationResponse(10, ServeOp::kAddEdge, true, 4, 120),
+            R"({"id": 10, "op": "add-edge", "status": "ok", "applied": true, )"
+            R"("invalidated_anchors": 4, "num_edges": 120})");
+  EXPECT_EQ(RenderMutationResponse(11, ServeOp::kRemoveEdge, false, 0, 119),
+            R"({"id": 11, "op": "remove-edge", "status": "ok", )"
+            R"("applied": false, "invalidated_anchors": 0, "num_edges": 119})");
+  EXPECT_EQ(RenderRefreshResponse(12, 5, 95, scored, 2),
+            R"({"id": 12, "op": "refresh", "status": "ok", )"
+            R"("refreshed_anchors": 5, "reused_anchors": 95, "num_groups": 6, )"
+            R"("top_groups": [{"score": 12345678.875, "nodes": [4]}, )"
+            R"({"score": 0.33333333333333331, "nodes": [1, 2]}]})");
+  EXPECT_EQ(RenderCompactResponse(13, 119, 2, 0),
+            R"({"id": 13, "op": "compact", "status": "ok", "num_edges": 119, )"
+            R"("compactions": 2, "pending_log": 0})");
+  EXPECT_EQ(RenderSyncResponse(14, 42),
+            R"({"id": 14, "op": "sync", "status": "ok", "wal_seq": 42})");
+  EXPECT_EQ(RenderSnapshotResponse(15, UINT64_MAX),
+            R"({"id": 15, "op": "snapshot", "status": "ok", )"
+            R"("wal_seq": 18446744073709551615})");
+  EXPECT_EQ(RenderErrorResponse(16, ServeOp::kRescore,
+                                Status::InvalidArgument(
+                                    "bad \"x\"\\ \n\t\x01 end")),
+            R"({"id": 16, "op": "rescore", "status": "InvalidArgument", )"
+            R"("error": "bad \"x\"\\ \n\t\u0001 end"})");
+  EXPECT_EQ(
+      RenderErrorResponse(-1, "invalid", Status::DeadlineExceeded("late")),
+      R"({"id": -1, "op": "invalid", "status": "DeadlineExceeded", )"
+      R"("error": "late"})");
+
+  auto daemon = MakeDaemon(QuickOptions());
+  ServeRequest shutdown;
+  shutdown.id = 17;
+  shutdown.op = ServeOp::kShutdown;
+  EXPECT_EQ(daemon->Execute(shutdown),
+            R"({"id": 17, "op": "shutdown", "status": "ok", )"
+            R"("draining": true})");
+}
+
+/// Every object key in `value`, depth first, as a dotted path; array
+/// elements share one "[]" path segment, and each path is listed once.
+void CollectKeyPaths(const JsonValue& value, const std::string& prefix,
+                     std::vector<std::string>* out) {
+  auto add_once = [out](const std::string& path) {
+    if (std::find(out->begin(), out->end(), path) == out->end()) {
+      out->push_back(path);
+    }
+  };
+  if (value.kind == JsonValue::Kind::kObject) {
+    for (const auto& [key, member] : value.object) {
+      const std::string path = prefix.empty() ? key : prefix + "." + key;
+      add_once(path);
+      CollectKeyPaths(member, path, out);
+    }
+  } else if (value.kind == JsonValue::Kind::kArray) {
+    for (const JsonValue& element : value.array) {
+      CollectKeyPaths(element, prefix + "[]", out);
+    }
+  }
+}
+
+TEST(ServeTest, MetricsSnapshotParsesWithPinnedKeyOrder) {
+  auto daemon = MakeDaemon(QuickOptions());
+  const SessionResult session = RunSession(
+      daemon.get(),
+      {R"({"id": 1, "op": "rescore", "detector": "ecod", "top": 1})"});
+  ASSERT_EQ(session.responses.size(), 1u);
+  auto metrics = ParseJsonText(daemon->MetricsJson());
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  std::vector<std::string> paths;
+  CollectKeyPaths(metrics.value(), "", &paths);
+  const std::vector<std::string> expected = {
+      "schema", "queue", "queue.capacity", "queue.depth", "queue.peak_depth",
+      "queue.admitted", "queue.rejected", "requests", "requests.total",
+      "requests.errors", "requests.by_op", "requests.by_op.rescore",
+      "requests.by_op.rescore.count", "requests.by_op.rescore.errors",
+      "requests.by_op.rescore.total_ms", "batches", "batches.count",
+      "batches.max_size", "batches.mean_size", "batches.exec_seconds",
+      "latency_ms", "latency_ms.buckets", "latency_ms.buckets[].le",
+      "latency_ms.buckets[].count", "latency_ms.max_ms",
+      "latency_ms.total_ms", "stages", "stages.scoring",
+      "stages.scoring.count", "stages.scoring.seconds",
+      "stages.scoring/detect", "stages.scoring/detect.count",
+      "stages.scoring/detect.seconds", "mutations", "mutations.total",
+      "mutations.applied", "mutations.fanout_total", "mutations.fanout_max",
+      "mutations.refreshes", "mutations.refreshed_anchors",
+      "mutations.reused_anchors", "durability", "durability.enabled",
+      "durability.wal_appends", "durability.wal_bytes", "durability.fsyncs",
+      "durability.snapshots", "durability.wal_seq",
+      "durability.replayed_records", "durability.truncated_tail_records",
+      "durability.errors", "durability.last_error", "workspace",
+      "workspace.total_heap_allocs", "arena", "arena.acquired",
+      "arena.reused", "arena.heap_allocs", "arena.released",
+      "arena.bytes_served", "arena.heap_bytes", "timeline",
+      "timeline[].batch", "timeline[].size", "timeline[].depth_at_drain",
+      "timeline[].seconds"};
+  EXPECT_EQ(paths, expected);
+
+  // The histogram's open-ended last bucket has no finite bound.
+  const JsonValue& buckets =
+      *metrics.value().Find("latency_ms")->Find("buckets");
+  ASSERT_FALSE(buckets.array.empty());
+  EXPECT_EQ(buckets.array.back().Find("le")->kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(buckets.array.front().Find("le")->number, 1.0);
+}
+
+TEST(ServeTest, OutOfRangeIdsSalvageToTheSentinel) {
+  // 2^63 and beyond hold no int64_t; neither may be cast into a request id
+  // or an error response's id.
+  EXPECT_FALSE(
+      ParseServeRequest(R"({"id": 9223372036854775808, "op": "stats"})").ok());
+  EXPECT_FALSE(ParseServeRequest(R"({"id": 1e300, "op": "stats"})").ok());
+  auto daemon = MakeDaemon(QuickOptions());
+  const SessionResult session =
+      RunSession(daemon.get(), {R"({"id": 1e300, "op": "bogus"})",
+                                R"({"id": 9223372036854775808, "op": "nope"})",
+                                R"({"id": 5, "op": "nope"})"});
+  ASSERT_EQ(session.responses.size(), 3u);
+  EXPECT_EQ(ResponseId(session.responses[0]), -1) << session.responses[0];
+  EXPECT_EQ(ResponseId(session.responses[1]), -1) << session.responses[1];
+  EXPECT_EQ(ResponseId(session.responses[2]), 5) << session.responses[2];
+  for (const std::string& response : session.responses) {
+    EXPECT_NE(response.find(R"("op": "invalid", "status": "InvalidArgument")"),
+              std::string::npos)
+        << response;
+  }
 }
 
 TEST(ServeTest, ArtifactLoadRetryableClassifiesTheCommitWindow) {

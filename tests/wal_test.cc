@@ -238,6 +238,32 @@ TEST(WalTest, MidFileCorruptionTruncatesEverythingAfterIt) {
   ExpectTornTail(path, 1, 3);
 }
 
+TEST(WalTest, SignedOrPaddedRecordSeqIsATornTail) {
+  // Append never writes a sign or a leading zero, so a record spelled that
+  // way is malformed like any other damage: dropped with the DataLoss note.
+  for (const char* prefix : {"+", "0"}) {
+    const fs::path dir = TempDir("signed_seq");
+    const fs::path path = dir / "wal.log";
+    std::string bytes = BuildWalFile(path, 3);
+    const size_t line = bytes.rfind('\n', bytes.size() - 2) + 1;
+    bytes.insert(line, prefix);  // "3 ..." becomes "+3 ..." / "03 ...".
+    Spit(path, bytes);
+    SCOPED_TRACE(prefix);
+    ExpectTornTail(path, 2, 1);
+  }
+}
+
+TEST(WalTest, SignedOrPaddedHeaderBaseIsRejected) {
+  for (const char* base : {"+0", "00", " 0", "0 "}) {
+    const fs::path dir = TempDir("signed_base");
+    const fs::path path = dir / "wal.log";
+    Spit(path, std::string("grgad_wal_version 1 base ") + base + "\n");
+    auto wal = WriteAheadLog::Open(path.string(), 1);
+    ASSERT_FALSE(wal.ok()) << "base '" << base << "' loaded";
+    EXPECT_EQ(wal.status().code(), StatusCode::kDataLoss) << base;
+  }
+}
+
 TEST(WalTest, ResetToStartsAnEmptyLogAtTheNewBase) {
   const fs::path dir = TempDir("reset");
   const fs::path path = dir / "wal.log";

@@ -29,8 +29,6 @@
 //
 // All configuration is string-keyed through the method registry, so this
 // binary needs no per-method flag wiring.
-#include <algorithm>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -51,6 +49,7 @@
 #include "src/serve/request.h"
 #include "src/serve/server.h"
 #include "src/serve/wal.h"
+#include "src/util/csv.h"
 #include "src/util/fault.h"
 #include "src/util/parallel.h"
 #include "src/util/retry.h"
@@ -75,30 +74,6 @@ void HandleStopSignal(int) { GlobalCancelToken()->RequestCancel(); }
 void HookStopSignals(bool install) {
   std::signal(SIGINT, install ? HandleStopSignal : SIG_DFL);
   std::signal(SIGTERM, install ? HandleStopSignal : SIG_DFL);
-}
-
-// ---- tiny JSON writer -------------------------------------------------------
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";  // Bare nan/inf is invalid JSON.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-/// Appends one `"key": value` JSON member (value pre-rendered).
-void JsonField(std::string* out, const char* key, const std::string& value,
-               bool* first) {
-  if (!*first) *out += ", ";
-  *first = false;
-  *out += "\"";
-  *out += key;
-  *out += "\": ";
-  *out += value;
-}
-
-std::string JsonString(const std::string& s) {
-  return "\"" + JsonEscapeText(s) + "\"";
 }
 
 // ---- argument parsing -------------------------------------------------------
@@ -358,53 +333,15 @@ int CmdList() {
   return 0;
 }
 
-/// Renders { "nodes": [...], "score": s } rows for the top `limit` groups.
-std::string TopGroupsJson(std::vector<ScoredGroup> groups, size_t limit) {
-  std::stable_sort(groups.begin(), groups.end(),
-                   [](const ScoredGroup& a, const ScoredGroup& b) {
-                     return a.score > b.score;
-                   });
-  std::string out = "[";
-  for (size_t i = 0; i < groups.size() && i < limit; ++i) {
-    if (i) out += ", ";
-    out += "{\"score\": " + JsonNumber(groups[i].score) + ", \"nodes\": [";
-    for (size_t k = 0; k < groups[i].nodes.size(); ++k) {
-      if (k) out += ", ";
-      out += std::to_string(groups[i].nodes[k]);
-    }
-    out += "]}";
-  }
-  out += "]";
-  return out;
-}
-
-std::string TimingsJson(const RunContext& ctx) {
-  std::string out = "[";
-  bool first_timing = true;
+void WriteTimings(JsonWriter* w, const RunContext& ctx) {
+  w->BeginArray();
   for (const StageTiming& t : ctx.stage_timings()) {
-    if (!first_timing) out += ", ";
-    first_timing = false;
-    out += "{\"stage\": " + JsonString(t.stage) +
-           ", \"seconds\": " + JsonNumber(t.seconds) + "}";
+    w->BeginObject()
+        .Key("stage").String(t.stage)
+        .Key("seconds").Double(t.seconds)
+        .EndObject();
   }
-  out += "]";
-  return out;
-}
-
-std::string EvaluationJson(const GroupEvaluation& eval) {
-  std::string out = "{";
-  bool first = true;
-  JsonField(&out, "cr", JsonNumber(eval.cr), &first);
-  JsonField(&out, "f1", JsonNumber(eval.f1), &first);
-  JsonField(&out, "auc", JsonNumber(eval.auc), &first);
-  JsonField(&out, "avg_predicted_size", JsonNumber(eval.avg_predicted_size),
-            &first);
-  JsonField(&out, "num_candidates", std::to_string(eval.num_candidates),
-            &first);
-  JsonField(&out, "num_predicted_anomalous",
-            std::to_string(eval.num_predicted_anomalous), &first);
-  out += "}";
-  return out;
+  w->EndArray();
 }
 
 int EmitJson(const Args& args, const std::string& json) {
@@ -435,14 +372,13 @@ int ExitCodeFor(const Status& status) {
 int FailWith(const Args& args, const char* command, const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   if (!args.json_path.empty()) {
-    std::string json = "{";
-    bool first = true;
-    JsonField(&json, "command", JsonString(command), &first);
-    JsonField(&json, "status", JsonString(StatusCodeName(status.code())),
-              &first);
-    JsonField(&json, "error", JsonString(status.message()), &first);
-    json += "}";
-    EmitJson(args, json);
+    JsonWriter w;
+    w.BeginObject()
+        .Key("command").String(command)
+        .Key("status").String(StatusCodeName(status.code()))
+        .Key("error").String(status.message())
+        .EndObject();
+    EmitJson(args, w.str());
   }
   return ExitCodeFor(status);
 }
@@ -536,24 +472,30 @@ int CmdRun(const Args& args) {
   }
 
   const GroupEvaluation eval = EvaluateGroups(d, scored);
-  std::string json = "{";
-  bool first = true;
-  JsonField(&json, "command", JsonString("run"), &first);
-  JsonField(&json, "status", JsonString("ok"), &first);
-  JsonField(&json, "dataset", JsonString(args.dataset), &first);
-  JsonField(&json, "method", JsonString(args.method), &first);
-  JsonField(&json, "seed", std::to_string(args.seed), &first);
-  JsonField(&json, "num_anchors", std::to_string(artifacts.anchors.size()),
-            &first);
-  JsonField(&json, "num_groups",
-            std::to_string(artifacts.candidate_groups.size()), &first);
-  JsonField(&json, "seconds", JsonNumber(total_seconds), &first);
-  JsonField(&json, "profile", args.profile ? "true" : "false", &first);
-  JsonField(&json, "stage_timings", TimingsJson(ctx), &first);
-  JsonField(&json, "evaluation", EvaluationJson(eval), &first);
-  JsonField(&json, "top_groups", TopGroupsJson(scored, 5), &first);
-  json += "}";
-  return EmitJson(args, json);
+  JsonWriter w;
+  w.BeginObject()
+      .Key("command").String("run")
+      .Key("status").String("ok")
+      .Key("dataset").String(args.dataset)
+      .Key("method").String(args.method)
+      .Key("seed").Uint(args.seed)
+      .Key("num_anchors").Uint(artifacts.anchors.size())
+      .Key("num_groups").Uint(artifacts.candidate_groups.size())
+      .Key("seconds").Double(total_seconds)
+      .Key("profile").Bool(args.profile)
+      .Key("stage_timings");
+  WriteTimings(&w, ctx);
+  w.Key("evaluation").BeginObject()
+      .Key("cr").Double(eval.cr)
+      .Key("f1").Double(eval.f1)
+      .Key("auc").Double(eval.auc)
+      .Key("avg_predicted_size").Double(eval.avg_predicted_size)
+      .Key("num_candidates").Int(eval.num_candidates)
+      .Key("num_predicted_anomalous").Int(eval.num_predicted_anomalous)
+      .EndObject();
+  w.Key("top_groups");
+  WriteTopGroups(&w, scored, 5);
+  return EmitJson(args, w.EndObject().str());
 }
 
 int CmdRescore(const Args& args) {
@@ -605,20 +547,19 @@ int CmdRescore(const Args& args) {
     }
   }
 
-  std::string json = "{";
-  bool first = true;
-  JsonField(&json, "command", JsonString("rescore"), &first);
-  JsonField(&json, "status", JsonString("ok"), &first);
-  JsonField(&json, "in", JsonString(args.in_dir), &first);
-  JsonField(&json, "detector", JsonString(args.detector), &first);
-  JsonField(&json, "num_groups",
-            std::to_string(artifacts.candidate_groups.size()), &first);
-  JsonField(&json, "profile", args.profile ? "true" : "false", &first);
-  JsonField(&json, "stage_timings", TimingsJson(ctx), &first);
-  JsonField(&json, "top_groups", TopGroupsJson(artifacts.scored_groups, 5),
-            &first);
-  json += "}";
-  return EmitJson(args, json);
+  JsonWriter w;
+  w.BeginObject()
+      .Key("command").String("rescore")
+      .Key("status").String("ok")
+      .Key("in").String(args.in_dir)
+      .Key("detector").String(args.detector)
+      .Key("num_groups").Uint(artifacts.candidate_groups.size())
+      .Key("profile").Bool(args.profile)
+      .Key("stage_timings");
+  WriteTimings(&w, ctx);
+  w.Key("top_groups");
+  WriteTopGroups(&w, artifacts.scored_groups, 5);
+  return EmitJson(args, w.EndObject().str());
 }
 
 int CmdServe(const Args& args) {
@@ -831,7 +772,7 @@ int CmdQuery(const Args& args) {
         connect_timer.ElapsedSeconds() >= window) {
       status = Status::DeadlineExceeded(
           "daemon did not accept " + args.socket_path + " within " +
-          JsonNumber(window) + "s: " + status.ToString());
+          FormatDouble(window) + "s: " + status.ToString());
     }
     return FailWith(args, "query", status);
   }
