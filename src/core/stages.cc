@@ -1,5 +1,6 @@
 #include "src/core/stages.h"
 
+#include <cmath>
 #include <utility>
 
 #include "src/od/neighbor_index.h"
@@ -32,6 +33,28 @@ Status StopStatusIn(const RunContext* ctx, const char* stage) {
       return Status::Cancelled(std::string("run cancelled during ") + stage +
                                " stage");
   }
+}
+
+/// InvalidArgument naming the first NaN/Inf cell of `embeddings` (row-major
+/// order), or Ok. Every detector ranks, sorts or measures distances over
+/// these values: a NaN breaks the strict weak ordering std::sort needs and
+/// an Inf poisons every distance to its row, so no score would mean
+/// anything.
+Status CheckFinite(const Matrix& embeddings) {
+  for (size_t r = 0; r < embeddings.rows(); ++r) {
+    const double* row = embeddings.RowPtr(r);
+    for (size_t c = 0; c < embeddings.cols(); ++c) {
+      if (std::isfinite(row[c])) continue;
+      const char* what = std::isnan(row[c]) ? "NaN"
+                         : row[c] > 0.0     ? "+Inf"
+                                            : "-Inf";
+      return Status::InvalidArgument(
+          "scoring stage: embedding row " + std::to_string(r) + " column " +
+          std::to_string(c) + " is " + what +
+          "; detectors need finite embeddings");
+    }
+  }
+  return Status::Ok();
 }
 
 /// Injected stage-boundary fault (no-op unless GRGAD_FAULTS / --inject).
@@ -157,6 +180,7 @@ Result<ScoringStageOutput> RunScoringStage(
   if (embeddings.rows() == 0) {
     return Status::FailedPrecondition("scoring stage: nothing to score");
   }
+  if (Status finite = CheckFinite(embeddings); !finite.ok()) return finite;
   if (Stopped(ctx)) return StopStatusIn(ctx, "scoring");
   if (Status fault = StageFault("stage/scoring"); !fault.ok()) return fault;
   StageScope scope(ctx, "scoring");

@@ -123,6 +123,8 @@ Result<EmbeddingStageOutput> RunEmbeddingStage(
 /// based detectors score through one shared NeighborIndex built here; with
 /// ctx->profile set, the index build and the detector proper are reported
 /// as "scoring/neighbors" / "scoring/detect" sub-stage timings.
+/// InvalidArgument naming the first NaN/Inf cell, before any detector runs:
+/// the one check behind pipeline runs, rescore, what-if and refresh.
 Result<ScoringStageOutput> RunScoringStage(
     const Matrix& embeddings, const std::vector<std::vector<int>>& groups,
     const TpGrGadOptions& options, RunContext* ctx = nullptr);

@@ -82,23 +82,37 @@ namespace {
 
 /// Selects the k nearest neighbors of row `i` from its distance row `drow`
 /// (length n) into the index, using the seed's deterministic tie-break:
-/// ascending distance, ties by ascending id. `cand` is caller scratch.
+/// ascending distance, ties by ascending id. One pass over the row, with
+/// the row's k output slots as a sorted buffer: ids arrive in ascending
+/// order, so once the buffer is full a candidate enters only on a distance
+/// strictly below the current k-th, and every insertion lands after the
+/// equal distances already held — exactly the (distance, id) order a full
+/// sort produces. Cost O(n + m·k) for the m candidates that enter.
 void SelectRow(const double* drow, size_t n, size_t i, int k,
-               std::vector<int>* cand, NeighborIndex* out) {
-  cand->clear();
-  for (size_t j = 0; j < n; ++j) {
-    if (j != i) cand->push_back(static_cast<int>(j));
+               NeighborIndex* out) {
+  const size_t slots = static_cast<size_t>(k);
+  int* ids = out->ids.data() + i * slots;
+  double* dists = out->dists.data() + i * slots;
+  size_t held = 0;
+  auto insert = [&](size_t pos, size_t j) {
+    const double dj = drow[j];
+    for (; pos > 0 && dj < dists[pos - 1]; --pos) {
+      dists[pos] = dists[pos - 1];
+      ids[pos] = ids[pos - 1];
+    }
+    dists[pos] = dj;
+    ids[pos] = static_cast<int>(j);
+  };
+  size_t j = 0;
+  for (; held < slots; ++j) {
+    if (j != i) insert(held++, j);
   }
-  std::partial_sort(cand->begin(), cand->begin() + k, cand->end(),
-                    [drow](int a, int b) {
-                      if (drow[a] != drow[b]) return drow[a] < drow[b];
-                      return a < b;
-                    });
-  int* ids = out->ids.data() + i * static_cast<size_t>(k);
-  double* dists = out->dists.data() + i * static_cast<size_t>(k);
-  for (int pos = 0; pos < k; ++pos) {
-    ids[pos] = (*cand)[pos];
-    dists[pos] = drow[(*cand)[pos]];
+  double worst = dists[slots - 1];
+  for (; j < n; ++j) {
+    if (drow[j] < worst && j != i) {
+      insert(slots - 1, j);
+      worst = dists[slots - 1];
+    }
   }
 }
 
@@ -115,11 +129,7 @@ NeighborIndex NeighborIndexFromDistances(const Matrix& d, int k) {
   out.k = k;
   out.ids.resize(n * static_cast<size_t>(k));
   out.dists.resize(n * static_cast<size_t>(k));
-  std::vector<int> cand;
-  cand.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    SelectRow(d.RowPtr(i), n, i, k, &cand, &out);
-  }
+  for (size_t i = 0; i < n; ++i) SelectRow(d.RowPtr(i), n, i, k, &out);
   return out;
 }
 
@@ -137,10 +147,8 @@ NeighborIndex BuildNeighborIndex(const Matrix& x, int k) {
   internal::ForEachDistancePanel(
       x, [&](size_t i0, size_t rows, const Matrix& panel) {
         ParallelFor(rows, 1, [&](size_t begin, size_t end) {
-          std::vector<int> cand;
-          cand.reserve(n);
           for (size_t r = begin; r < end; ++r) {
-            SelectRow(panel.RowPtr(r), n, i0 + r, k, &cand, &out);
+            SelectRow(panel.RowPtr(r), n, i0 + r, k, &out);
           }
         });
       });

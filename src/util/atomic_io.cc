@@ -288,6 +288,16 @@ bool ParseWhole(std::string_view token, T* out) {
   return ec == std::errc() && ptr == end;
 }
 
+/// `token` spells an integer the way std::to_string writes it: no leading
+/// zero on a multi-digit magnitude and no "-0". Signs are left to
+/// from_chars, which reads no '+' and no '-' into an unsigned.
+bool CanonicalInteger(std::string_view token) {
+  const std::string_view digits =
+      token.substr(!token.empty() && token[0] == '-' ? 1 : 0);
+  if (digits.empty() || digits[0] != '0') return true;
+  return digits.size() == 1 && digits.size() == token.size();
+}
+
 }  // namespace
 
 bool TokenScanner::Token(std::string_view* out) {
@@ -316,12 +326,12 @@ bool TokenScanner::Keyword(std::string_view expected) {
 
 bool TokenScanner::I64(long long* out) {
   std::string_view token;
-  return Token(&token) && ParseWhole(token, out);
+  return Token(&token) && CanonicalInteger(token) && ParseWhole(token, out);
 }
 
 bool TokenScanner::U64(uint64_t* out) {
   std::string_view token;
-  return Token(&token) && ParseWhole(token, out);
+  return Token(&token) && CanonicalInteger(token) && ParseWhole(token, out);
 }
 
 bool TokenScanner::F64(double* out) {

@@ -141,7 +141,9 @@ class TokenScanner {
   /// Next token must equal `expected` exactly.
   bool Keyword(std::string_view expected);
   /// Next token parsed fully as a signed / unsigned 64-bit integer /
-  /// decimal double (no sign on U64, no leading '+' anywhere).
+  /// decimal double (no sign on U64, no leading '+' anywhere). Integers
+  /// must be canonical, as std::to_string writes them: no leading zeros
+  /// ("007") and no "-0"; "0" itself is valid.
   bool I64(long long* out);
   bool U64(uint64_t* out);
   bool F64(double* out);

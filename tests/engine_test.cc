@@ -3,7 +3,9 @@
 // registry, and string-keyed option overrides.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <thread>
 
 #include "src/core/artifacts.h"
@@ -12,6 +14,8 @@
 #include "src/core/pipeline.h"
 #include "src/core/stages.h"
 #include "src/data/example_graph.h"
+#include "src/od/detector.h"
+#include "src/util/rng.h"
 
 namespace grgad {
 namespace {
@@ -141,6 +145,43 @@ TEST(EngineStagesTest, ScoringRejectsMisalignedInputs) {
                                  QuickOptions());
   ASSERT_FALSE(scoring.ok());
   EXPECT_EQ(scoring.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineStagesTest, ScoringRejectsNonFiniteEmbeddings) {
+  // Column 5 of a 200x8 matrix holds NaN in every third row: before the
+  // check, every detector but MAD "scored" it ok (std::sort over NaN is
+  // undefined behaviour). The error names the first bad cell in row-major
+  // order, and no detector runs.
+  Rng rng(17);
+  Matrix x = Matrix::Gaussian(200, 8, &rng);
+  for (size_t i = 1; i < x.rows(); i += 3) x(i, 5) = std::nan("");
+  x(100, 2) = -std::numeric_limits<double>::infinity();
+  std::vector<std::vector<int>> groups(x.rows(), std::vector<int>{0});
+  for (DetectorKind kind : AllDetectorKinds()) {
+    TpGrGadOptions options = QuickOptions();
+    options.detector = kind;
+    auto scoring = RunScoringStage(x, groups, options);
+    ASSERT_FALSE(scoring.ok()) << DetectorKindName(kind);
+    EXPECT_EQ(scoring.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(scoring.status().message(),
+              "scoring stage: embedding row 1 column 5 is NaN; detectors "
+              "need finite embeddings");
+  }
+  for (size_t i = 1; i < x.rows(); i += 3) x(i, 5) = 0.0;
+  x(0, 7) = std::numeric_limits<double>::infinity();
+  auto scoring = RunScoringStage(x, groups, QuickOptions());
+  ASSERT_FALSE(scoring.ok());
+  EXPECT_EQ(scoring.status().message(),
+            "scoring stage: embedding row 0 column 7 is +Inf; detectors "
+            "need finite embeddings");
+  x(0, 7) = 1.0;
+  scoring = RunScoringStage(x, groups, QuickOptions());
+  ASSERT_FALSE(scoring.ok());
+  EXPECT_EQ(scoring.status().message(),
+            "scoring stage: embedding row 100 column 2 is -Inf; detectors "
+            "need finite embeddings");
+  x(100, 2) = 0.0;
+  EXPECT_TRUE(RunScoringStage(x, groups, QuickOptions()).ok());
 }
 
 // ---- RunContext: telemetry, progress, cancellation ---------------------------

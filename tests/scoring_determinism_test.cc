@@ -9,6 +9,8 @@
 //     (the seed computed the full matrix twice);
 //   - sharing one NeighborIndex across ensemble members changes nothing.
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,18 +85,60 @@ TEST(ScoringDeterminismTest, KnnAndLofMatchReferenceAtRankLevel) {
             RankNormalize(reference::LofFitScore(x, 10)));
 }
 
+/// The bit patterns of `v`: EXPECT_EQ on doubles would let -0.0 == +0.0.
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), v.size() * sizeof(double));
+  return bits;
+}
+
+/// Small-integer coordinates in [0, levels): many rows and columns share
+/// values, and every distance between such rows is computed exactly by
+/// both the GEMM and the scalar seed paths.
+Matrix IntegerMatrix(uint64_t seed, size_t rows, size_t cols, int levels) {
+  Rng rng(seed);
+  Matrix x(rows, cols);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      x(i, j) = static_cast<double>(rng.UniformInt(0, levels - 1));
+    }
+  }
+  return x;
+}
+
+/// ECOD inputs whose columns are full of ties: integer-valued columns, a
+/// constant column, a column mixing -0.0 and +0.0 (equal under <, different
+/// bits), and a Gaussian column for contrast.
+Matrix TiedColumns(uint64_t seed, size_t rows) {
+  Rng rng(seed);
+  Matrix x = IntegerMatrix(seed, rows, 5, 4);
+  for (size_t i = 0; i < rows; ++i) {
+    x(i, 1) = 3.5;
+    x(i, 2) = i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : (i % 2 ? 1.0 : -1.0);
+    x(i, 4) = rng.Normal(0.0, 1.0);
+  }
+  return x;
+}
+
 TEST(ScoringDeterminismTest, EcodBitwiseEqualsReference) {
   // ECOD reduces per-column contributions in ascending column order — the
   // seed's exact accumulation — so it is bitwise, not merely rank,
   // identical (the pipeline's default detector must not move). The
-  // 1-column and 1-row shapes run the same blocked loop.
+  // 1-column and 1-row shapes run the same blocked loop; the tie-heavy
+  // shapes pin that every row of a tie run gets the seed's counts, and
+  // 40 integer columns span two column blocks.
   Rng rng(103);
+  Matrix pair_equal(2, 3);
+  Matrix pair_distinct = Matrix::Gaussian(2, 3, &rng);
+  pair_distinct(1, 2) = pair_distinct(0, 2);  // One tied column.
   for (const Matrix& x :
        {PlantedEmbeddings(103), Matrix::Gaussian(50, 1, &rng),
-        Matrix::Gaussian(1, 6, &rng)}) {
+        Matrix::Gaussian(1, 6, &rng), TiedColumns(104, 120),
+        IntegerMatrix(105, 70, 40, 3), IntegerMatrix(106, 1, 4, 2),
+        pair_equal, pair_distinct, TiedColumns(107, 2)}) {
     for (int degree : {1, 4}) {
       ScopedDegree scoped(degree);
-      EXPECT_EQ(Ecod().FitScore(x), reference::EcodFitScore(x))
+      EXPECT_EQ(Bits(Ecod().FitScore(x)), Bits(reference::EcodFitScore(x)))
           << x.rows() << "x" << x.cols() << " at degree " << degree;
     }
   }
@@ -114,33 +158,54 @@ TEST(ScoringDeterminismTest, KnnAndLofComputeDistancesExactlyOnce) {
   EXPECT_EQ(internal::DistanceSweeps(), 1u) << "ensemble";
 }
 
+/// All ties: small-integer rows, and rows 150..299 duplicate rows of the
+/// first half (exactly-zero distances off the diagonal).
+Matrix DuplicatedIntegerRows(uint64_t seed) {
+  Matrix x = IntegerMatrix(seed, 300, 4, 3);
+  for (size_t i = 150; i < x.rows(); ++i) {
+    for (size_t j = 0; j < x.cols(); ++j) x(i, j) = x((i * 7) % 150, j);
+  }
+  return x;
+}
+
 TEST(ScoringDeterminismTest, FastIndexSelectsSeedNeighbors) {
   // GEMM distances differ from scalar distances only in FP contraction, so
   // on generic data the selected neighbor ids (and their order) match the
-  // seed selection exactly.
-  const Matrix x = PlantedEmbeddings(106);
-  const int k = 10;
-  const NeighborIndex fast = BuildNeighborIndex(x, k);
-  const Matrix seed_dists = reference::PairwiseDistances(x);
-  const NeighborIndex seed = NeighborIndexFromDistances(seed_dists, k);
-  EXPECT_EQ(fast.ids, seed.ids);
-  // The precomputed-distances overload (no sweep of its own) agrees with
-  // both the index and the seed double-sweep KNearestNeighbors.
-  internal::ResetDistanceSweeps();
-  const auto from_dists = KNearestNeighborsFromDistances(seed_dists, k);
-  EXPECT_EQ(internal::DistanceSweeps(), 0u);
-  const auto seed_lists = reference::KNearestNeighbors(x, k);
-  ASSERT_EQ(from_dists.size(), seed_lists.size());
-  EXPECT_EQ(from_dists, seed_lists);
-  // A k-consumer reading a prefix of a larger shared index sees exactly its
-  // own index.
-  const NeighborIndex wide = BuildNeighborIndex(x, 2 * k);
-  for (int i = 0; i < fast.n; ++i) {
-    for (int pos = 0; pos < k; ++pos) {
-      EXPECT_EQ(wide.Neighbor(i, pos), fast.Neighbor(i, pos));
-      EXPECT_EQ(wide.Distance(i, pos), fast.Distance(i, pos));
+  // seed selection exactly. On the all-ties input both distance paths are
+  // exact, so every selection must order the ties by ascending id as the
+  // seed's sort does. k = 1000 clamps to n - 1 (a full ordering).
+  for (const Matrix& x : {PlantedEmbeddings(106), DuplicatedIntegerRows(109)}) {
+    const Matrix seed_dists = reference::PairwiseDistances(x);
+    for (int k : {1, 10, 1000}) {
+      const NeighborIndex seed = NeighborIndexFromDistances(seed_dists, k);
+      for (int degree : {1, 4}) {
+        ScopedDegree scoped(degree);
+        EXPECT_EQ(BuildNeighborIndex(x, k).ids, seed.ids)
+            << x.rows() << " rows, k=" << k << " at degree " << degree;
+      }
+      // The precomputed-distances overload (no sweep of its own) agrees
+      // with both the index and the seed double-sweep KNearestNeighbors.
+      internal::ResetDistanceSweeps();
+      const auto from_dists = KNearestNeighborsFromDistances(seed_dists, k);
+      EXPECT_EQ(internal::DistanceSweeps(), 0u);
+      EXPECT_EQ(from_dists, reference::KNearestNeighbors(x, k))
+          << x.rows() << " rows, k=" << k;
+      // A k-consumer reading a prefix of a larger shared index sees exactly
+      // its own index.
+      const NeighborIndex fast = BuildNeighborIndex(x, k);
+      const NeighborIndex wide = BuildNeighborIndex(x, 2 * k);
+      for (int i = 0; i < fast.n; ++i) {
+        for (int pos = 0; pos < fast.k; ++pos) {
+          EXPECT_EQ(wide.Neighbor(i, pos), fast.Neighbor(i, pos));
+          EXPECT_EQ(wide.Distance(i, pos), fast.Distance(i, pos));
+        }
+      }
     }
   }
+  // Two identical rows: each is the other's only neighbor, at distance 0.
+  const NeighborIndex twin = BuildNeighborIndex(Matrix(2, 3), 5);
+  EXPECT_EQ(twin.ids, (std::vector<int>{1, 0}));
+  EXPECT_EQ(Bits(twin.dists), Bits({0.0, 0.0}));
 }
 
 TEST(ScoringDeterminismTest, PairwiseDistancesSymmetricZeroDiag) {

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -257,6 +258,43 @@ TEST(ServeTest, InjectedFaultIsIsolatedToTheRequest) {
       daemon.get(), {R"({"id": 3, "op": "rescore", "detector": "ensemble"})"});
   ASSERT_EQ(clean.responses.size(), 1u);
   EXPECT_TRUE(ResponseOk(clean.responses[0])) << clean.responses[0];
+}
+
+TEST(ServeTest, NonFiniteResidentEmbeddingsFailRescoreAndWhatIf) {
+  // A diverged run's NaN embeddings survive a save/load round trip (the
+  // loader reads "nan" as a number), so the daemon must refuse to score
+  // them rather than answer ok with meaningless ranks.
+  PipelineArtifacts diverged = TrainedArtifacts();
+  ASSERT_GT(diverged.group_embeddings.rows(), 2u);
+  diverged.group_embeddings(2, 1) = std::nan("");
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "grgad_serve_test_nonfinite")
+          .string();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(SaveArtifacts(diverged, dir).ok());
+  auto loaded = LoadArtifacts(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(std::isnan(loaded.value().group_embeddings(2, 1)));
+
+  ServeOptions options;
+  options.pipeline = QuickOptions();
+  ServeDaemon daemon(TestDataset().graph, loaded.value(), std::move(options));
+  const SessionResult session = RunSession(
+      &daemon, {R"({"id": 1, "op": "rescore", "detector": "ecod"})",
+                R"({"id": 2, "op": "rescore", "detector": "ensemble"})",
+                R"({"id": 3, "op": "what-if", "detector": "lof"})",
+                R"({"id": 4, "op": "stats"})"});
+  EXPECT_TRUE(session.transport.ok());
+  ASSERT_EQ(session.responses.size(), 4u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NE(session.responses[i].find(
+                  R"("status": "InvalidArgument", "error": "scoring stage: )"
+                  R"(embedding row 2 column 1 is NaN)"),
+              std::string::npos)
+        << session.responses[i];
+  }
+  EXPECT_TRUE(ResponseOk(session.responses[3])) << session.responses[3];
 }
 
 TEST(ServeTest, SeededFaultSweepNeverKillsTheDaemon) {

@@ -353,6 +353,27 @@ TEST(TokenScannerTest, RejectsPartialAndMalformedNumbers) {
   EXPECT_TRUE(TokenScanner(std::string_view(" \n\t ")).AtEnd());
 }
 
+TEST(TokenScannerTest, IntegersMustBeCanonical) {
+  // Every integer writer uses std::to_string, so a zero-padded token or
+  // "-0" is a spelling no writer produces: damage, not a number.
+  long long i = 1;
+  uint64_t u = 1;
+  for (const char* bad : {"007", "00", "-0", "-007", "+7"}) {
+    EXPECT_FALSE(TokenScanner(std::string_view(bad)).I64(&i)) << bad;
+  }
+  for (const char* bad : {"007", "00", "-0", "+7"}) {
+    EXPECT_FALSE(TokenScanner(std::string_view(bad)).U64(&u)) << bad;
+  }
+  EXPECT_TRUE(TokenScanner(std::string_view("0")).I64(&i));
+  EXPECT_EQ(i, 0);
+  EXPECT_TRUE(TokenScanner(std::string_view("0")).U64(&u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_TRUE(TokenScanner(std::string_view("-70")).I64(&i));
+  EXPECT_EQ(i, -70);
+  EXPECT_TRUE(TokenScanner(std::string_view("100")).U64(&u));
+  EXPECT_EQ(u, 100u);
+}
+
 TEST(TokenScannerTest, DoubleBitsRoundTripIsExact) {
   const double cases[] = {0.0,
                           -0.0,
